@@ -9,7 +9,7 @@
 //!    messages.
 
 use axonn_bench::{emit_json, print_table, series};
-use axonn_collectives::{CollectiveKind, CostModel, RingCostModel};
+use axonn_collectives::{CostModel, RingCostModel, SchedKind};
 use axonn_perfmodel::{estimate_memory, estimate_memory_replicated_w, network_comm_time, Grid4d};
 use axonn_sim::pick_best_config;
 use axonn_sim::SimOptions;
@@ -90,8 +90,8 @@ fn main() {
     let mut rd_rows = Vec::new();
     for bytes_exp in [10u32, 14, 18, 22, 26, 30] {
         let bytes = 2f64.powi(bytes_exp as i32);
-        let ring = cost.collective_seconds(CollectiveKind::AllReduce, 64, bytes);
-        let rd = cost.collective_seconds(CollectiveKind::AllReduceRecursiveDoubling, 64, bytes);
+        let ring = cost.collective_seconds(SchedKind::AllReduce, 64, bytes);
+        let rd = cost.collective_seconds(SchedKind::AllReduceRd, 64, bytes);
         rd_rows.push(vec![
             format!("{:.0} KiB", bytes / 1024.0),
             format!("{:.1} µs", ring * 1e6),

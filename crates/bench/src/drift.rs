@@ -22,9 +22,7 @@
 //! blocked+SIMD GF/s) that documents what the blocked rewrite buys.
 
 use axonn_cluster::{CalibratedGemm, GemmMode, GemmSample};
-use axonn_collectives::{
-    AgAlgo, AlgoPolicy, ArAlgo, CollectiveKind, ProcessGroup, RingCostModel, RsAlgo,
-};
+use axonn_collectives::{AlgoPolicy, CostModel, ProcessGroup, RingCostModel, SchedKind};
 use axonn_exec::run_spmd;
 use axonn_tensor::{
     gemm_into, gemm_into_naive, gemm_into_stats, gemm_into_with, BlockSizes, MatMode, Matrix,
@@ -62,9 +60,9 @@ impl Default for DriftConfig {
 pub struct DriftEntry {
     /// Collective name (`all_gather`, `reduce_scatter`, `all_reduce`).
     pub op: &'static str,
-    /// Algorithm the runtime's [`AlgoPolicy`] selects at this size
-    /// (`ring`, `rh`, `rd`, `rhd`, `tree`) — the prediction is priced
-    /// with the same algorithm's cost curve.
+    /// The kind the runtime's [`AlgoPolicy`] selects at this size
+    /// (e.g. `all_reduce_rhd`) — the prediction is priced for the same
+    /// kind.
     pub algo: &'static str,
     /// Per-rank input elements.
     pub elems: usize,
@@ -153,43 +151,23 @@ fn median(mut samples: Vec<f64>) -> f64 {
 /// Cost-model `bytes` for each measured op, matching exactly what the
 /// runtime charges (`charge_blocking` call sites): all-gather is billed
 /// on the *gathered* buffer, the others on the input buffer.
-fn model_bytes(op: &'static str, elems: usize, g: usize) -> u64 {
+fn model_bytes(op: SchedKind, elems: usize, g: usize) -> u64 {
     match op {
-        "all_gather" => (elems * g * 4) as u64,
+        SchedKind::AllGather => (elems * g * 4) as u64,
         _ => (elems * 4) as u64,
     }
 }
 
-/// The collective kind the runtime actually executes at this size under
-/// `policy` — predicting a tree-selected point with the ring curve would
-/// report spurious drift. `elems` is the per-rank input (the contributed
-/// shard for all-gather, the full buffer otherwise), matching the
-/// runtime's selection inputs.
-fn model_kind(
-    op: &'static str,
-    elems: usize,
-    g: usize,
-    policy: &AlgoPolicy,
-) -> (CollectiveKind, &'static str) {
-    match op {
-        "all_gather" => match policy.all_gather(elems, g) {
-            AgAlgo::Ring => (CollectiveKind::AllGather, "ring"),
-            AgAlgo::Rd => (CollectiveKind::AllGatherRecursiveDoubling, "rd"),
-        },
-        "reduce_scatter" => match policy.reduce_scatter(elems, g) {
-            RsAlgo::Ring => (CollectiveKind::ReduceScatter, "ring"),
-            RsAlgo::Rh => (CollectiveKind::ReduceScatterRecursiveHalving, "rh"),
-        },
-        "all_reduce" => match policy.all_reduce(elems, g) {
-            ArAlgo::Ring => (CollectiveKind::AllReduce, "ring"),
-            ArAlgo::Rhd => (CollectiveKind::AllReduceRecursiveHalvingDoubling, "rhd"),
-            ArAlgo::Tree => (CollectiveKind::AllReduceTree, "tree"),
-        },
-        other => unreachable!("unknown drift op {other}"),
-    }
-}
-
-const OPS: [&str; 3] = ["all_gather", "reduce_scatter", "all_reduce"];
+/// The measured collectives. Each point is priced for the kind the
+/// runtime actually executes at its size (`AlgoPolicy::select`, fed the
+/// per-rank input: the contributed shard for all-gather, the full buffer
+/// otherwise) — predicting a tree-selected point with the ring cost
+/// would report spurious drift.
+const OPS: [SchedKind; 3] = [
+    SchedKind::AllGather,
+    SchedKind::ReduceScatter,
+    SchedKind::AllReduce,
+];
 
 /// Run the sweep and assemble the report.
 pub fn run_drift(cfg: &DriftConfig) -> DriftReport {
@@ -197,7 +175,7 @@ pub fn run_drift(cfg: &DriftConfig) -> DriftReport {
     let iters = cfg.iters;
     let warmup = cfg.warmup;
     // (op, elems) -> median measured seconds.
-    let mut measured: Vec<(&'static str, usize, f64)> = Vec::new();
+    let mut measured: Vec<(SchedKind, usize, f64)> = Vec::new();
     for &elems in &cfg.elems {
         // One world per size; all three ops measured in it, each
         // barrier-bracketed so ranks start together and a slow rank
@@ -211,11 +189,11 @@ pub fn run_drift(cfg: &DriftConfig) -> DriftReport {
                     c.barrier(&group);
                     let t0 = Instant::now();
                     match op {
-                        "all_gather" => {
+                        SchedKind::AllGather => {
                             let shard = vec![1.0f32; elems];
                             let _ = c.all_gather(&group, &shard);
                         }
-                        "reduce_scatter" => {
+                        SchedKind::ReduceScatter => {
                             let buf = vec![1.0f32; elems];
                             let _ = c.reduce_scatter(&group, &buf);
                         }
@@ -237,18 +215,18 @@ pub fn run_drift(cfg: &DriftConfig) -> DriftReport {
         // only done when its last rank is done.
         for (k, op) in OPS.iter().enumerate() {
             let worst = timings.iter().map(|r| r[k]).fold(f64::MIN, f64::max);
-            measured.push((op, elems, worst));
+            measured.push((*op, elems, worst));
         }
     }
 
     // Calibrate β̂ from the largest all-reduce: t = 2(g-1)/g · n/β.
     let (_, cal_elems, cal_t) = *measured
         .iter()
-        .filter(|(op, _, _)| *op == "all_reduce")
+        .filter(|(op, _, _)| *op == SchedKind::AllReduce)
         .max_by_key(|(_, elems, _)| *elems)
         .expect("all_reduce measured");
     let gf = g as f64;
-    let cal_bytes = model_bytes("all_reduce", cal_elems, g) as f64;
+    let cal_bytes = model_bytes(SchedKind::AllReduce, cal_elems, g) as f64;
     // The ring and halving/doubling all-reduces move the same
     // 2(g-1)/g · n bytes, so this calibration holds whichever of the two
     // the policy selects at the largest size.
@@ -269,14 +247,13 @@ pub fn run_drift(cfg: &DriftConfig) -> DriftReport {
         .into_iter()
         .map(|(op, elems, t)| {
             let bytes = model_bytes(op, elems, g);
-            let (kind, algo) = model_kind(op, elems, g, &policy);
-            let predicted =
-                axonn_collectives::CostModel::collective_seconds(&model, kind, g, bytes as f64);
+            let kind = policy.select(op, elems, g);
+            let predicted = model.collective_seconds(kind, g, bytes as f64);
             let hist_idx = OPS.iter().position(|o| *o == op).expect("known op");
             hists[hist_idx].1.observe(t);
             DriftEntry {
-                op,
-                algo,
+                op: op.label(),
+                algo: kind.label(),
                 elems,
                 bytes,
                 group: g,

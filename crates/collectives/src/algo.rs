@@ -13,54 +13,55 @@
 //!   medium payloads.
 //!
 //! Selection is a pure function of `(element count, group size,
-//! policy)`, so the execution plane, the simulator mirror
-//! (`axonn-sim`), the analytic cost curves (`axonn-perfmodel`), and the
-//! schedule verifier (`axonn-verify`) all agree on which algorithm ran.
+//! policy)` returning the [`SchedKind`] that runs, so the execution
+//! plane, the simulator mirror (`axonn-sim`), the cost model
+//! ([`crate::cost::steps_volume`]) and the schedule verifier
+//! (`axonn-verify`) all agree on which algorithm ran.
 //! The policy is resolved once per world from [`AlgoPolicy::from_env`]
 //! (`AXONN_COLL_ALGO`) unless overridden on the builder, so every rank
 //! of a world selects identically.
 
-/// Algorithm for an all-reduce of `n` elements over `g` ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArAlgo {
-    /// Rabenseifner ring reduce-scatter + ring all-gather, chunk
-    /// pipelined through the buffer pool. `2(g-1)` α, `2(g-1)/g·n` β.
-    Ring,
-    /// Recursive halving/doubling in place. `2⌈log2 g⌉` α at the same
-    /// `2(g-1)/g·n` β volume as the ring; power-of-two groups only.
-    Rhd,
-    /// Binomial-tree reduce to rank 0 + binomial-tree broadcast.
-    /// `2⌈log2 g⌉` α but `2⌈log2 g⌉·n` β; any group size.
-    Tree,
-}
+use crate::sched::SchedKind;
+use std::sync::Once;
 
-/// Algorithm for a reduce-scatter of `n` total elements over `g` ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RsAlgo {
-    /// Ring reduce-scatter: `(g-1)` α, `(g-1)/g·n` β.
-    Ring,
-    /// Recursive halving: `⌈log2 g⌉` α at ring-equal volume;
-    /// power-of-two groups only.
-    Rh,
-}
+/// The all-reduce algorithms the runtime selects among; the first is the
+/// ring fallback when a forced algorithm is illegal for the group.
+const ALL_REDUCE: [SchedKind; 3] = [
+    SchedKind::AllReduce,
+    SchedKind::AllReduceRhd,
+    SchedKind::AllReduceTree,
+];
+const REDUCE_SCATTER: [SchedKind; 2] = [SchedKind::ReduceScatter, SchedKind::ReduceScatterRh];
+const ALL_GATHER: [SchedKind; 2] = [SchedKind::AllGather, SchedKind::AllGatherRd];
+const BROADCAST: [SchedKind; 2] = [SchedKind::Broadcast, SchedKind::BroadcastTree];
 
-/// Algorithm for an all-gather where each rank contributes `n` elements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AgAlgo {
-    /// Ring all-gather: `(g-1)` α, `(g-1)·n` β per rank.
-    Ring,
-    /// Recursive doubling: `⌈log2 g⌉` α at ring-equal volume;
-    /// power-of-two groups only.
-    Rd,
-}
+/// `AXONN_COLL_ALGO` per-collective spellings: `(key, algorithm, kind)`.
+const SPELLINGS: [(&str, &str, SchedKind); 12] = [
+    ("all_reduce", "ring", SchedKind::AllReduce),
+    ("all_reduce", "rhd", SchedKind::AllReduceRhd),
+    ("all_reduce", "tree", SchedKind::AllReduceTree),
+    ("reduce_scatter", "ring", SchedKind::ReduceScatter),
+    ("reduce_scatter", "rh", SchedKind::ReduceScatterRh),
+    ("reduce_scatter", "rhd", SchedKind::ReduceScatterRh),
+    ("all_gather", "ring", SchedKind::AllGather),
+    ("all_gather", "rd", SchedKind::AllGatherRd),
+    ("all_gather", "rhd", SchedKind::AllGatherRd),
+    ("broadcast", "ring", SchedKind::Broadcast),
+    ("broadcast", "chain", SchedKind::Broadcast),
+    ("broadcast", "tree", SchedKind::BroadcastTree),
+];
 
-/// Algorithm for a broadcast of `n` elements over `g` ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BcastAlgo {
-    /// Pipelined chain from the root: `(g-1)` α on the critical path.
-    Chain,
-    /// Binomial tree: `⌈log2 g⌉` α, any group size.
-    Tree,
+/// A forced algorithm of `family`, or the family's ring fallback (its
+/// first member) when the forced one cannot run on `g` ranks.
+fn forced(force: Option<SchedKind>, family: &[SchedKind], g: usize) -> Option<SchedKind> {
+    force.map(|f| {
+        debug_assert!(family.contains(&f), "{f} forced for {}", family[0]);
+        if f.legal(g) {
+            f
+        } else {
+            family[0]
+        }
+    })
 }
 
 /// Per-collective thresholds (in f32 **elements**) plus optional hard
@@ -84,15 +85,17 @@ pub struct AlgoPolicy {
     /// Broadcast payloads up to this many elements use the binomial
     /// tree (any group size).
     pub bcast_tree_max: usize,
-    /// Hard override for all-reduce (falls back to ring when the forced
-    /// algorithm is not legal for the group size).
-    pub force_ar: Option<ArAlgo>,
-    /// Hard override for reduce-scatter.
-    pub force_rs: Option<RsAlgo>,
-    /// Hard override for all-gather.
-    pub force_ag: Option<AgAlgo>,
-    /// Hard override for broadcast.
-    pub force_bcast: Option<BcastAlgo>,
+    /// Hard override for all-reduce: `AllReduce`, `AllReduceRhd` or
+    /// `AllReduceTree` (falls back to the ring when the forced algorithm
+    /// is not legal for the group size).
+    pub force_ar: Option<SchedKind>,
+    /// Hard override for reduce-scatter: `ReduceScatter` or
+    /// `ReduceScatterRh`.
+    pub force_rs: Option<SchedKind>,
+    /// Hard override for all-gather: `AllGather` or `AllGatherRd`.
+    pub force_ag: Option<SchedKind>,
+    /// Hard override for broadcast: `Broadcast` or `BroadcastTree`.
+    pub force_bcast: Option<SchedKind>,
 }
 
 impl Default for AlgoPolicy {
@@ -122,10 +125,10 @@ impl AlgoPolicy {
     /// that prove the pooled pipelined ring against the naive reference.
     pub fn ring_only() -> Self {
         AlgoPolicy {
-            force_ar: Some(ArAlgo::Ring),
-            force_rs: Some(RsAlgo::Ring),
-            force_ag: Some(AgAlgo::Ring),
-            force_bcast: Some(BcastAlgo::Chain),
+            force_ar: Some(SchedKind::AllReduce),
+            force_rs: Some(SchedKind::ReduceScatter),
+            force_ag: Some(SchedKind::AllGather),
+            force_bcast: Some(SchedKind::Broadcast),
             ..AlgoPolicy::default()
         }
     }
@@ -134,79 +137,90 @@ impl AlgoPolicy {
     /// (`auto` | `ring` | `tree` | `rhd`) or comma-separated
     /// per-collective overrides (`all_reduce=tree,all_gather=ring`,
     /// keys `all_reduce` / `reduce_scatter` / `all_gather` /
-    /// `broadcast`). Unknown tokens are ignored so an A/B harness can
-    /// never brick a run.
+    /// `broadcast`). Tokens it cannot use are skipped so an A/B harness
+    /// can never brick a run, but named in one stderr warning (once per
+    /// process).
     pub fn from_env() -> Self {
-        match std::env::var("AXONN_COLL_ALGO") {
-            Ok(spec) => Self::parse(&spec),
-            Err(_) => AlgoPolicy::default(),
+        let Ok(spec) = std::env::var("AXONN_COLL_ALGO") else {
+            return AlgoPolicy::default();
+        };
+        let (policy, ignored) = Self::parse(&spec);
+        if !ignored.is_empty() {
+            static WARN: Once = Once::new();
+            WARN.call_once(|| {
+                eprintln!(
+                    "warning: AXONN_COLL_ALGO={spec:?}: ignored {}",
+                    ignored.join(", ")
+                )
+            });
         }
+        policy
     }
 
     /// Pure parser behind [`AlgoPolicy::from_env`] (tests call this
     /// directly; env vars are process-global and racy under the
-    /// parallel test harness).
-    pub fn parse(spec: &str) -> Self {
+    /// parallel test harness). Returns the policy and the tokens it
+    /// ignored: an unknown key, an unknown algorithm, or an algorithm
+    /// that is not of that key's collective.
+    pub fn parse(spec: &str) -> (Self, Vec<String>) {
         let mut p = AlgoPolicy::default();
         match spec.trim() {
-            "" | "auto" => return p,
-            "ring" => return AlgoPolicy::ring_only(),
+            "" | "auto" => return (p, Vec::new()),
+            "ring" => return (AlgoPolicy::ring_only(), Vec::new()),
             "tree" => {
-                p.force_ar = Some(ArAlgo::Tree);
-                p.force_bcast = Some(BcastAlgo::Tree);
-                return p;
+                p.force_ar = Some(SchedKind::AllReduceTree);
+                p.force_bcast = Some(SchedKind::BroadcastTree);
+                return (p, Vec::new());
             }
             "rhd" => {
-                p.force_ar = Some(ArAlgo::Rhd);
-                p.force_rs = Some(RsAlgo::Rh);
-                p.force_ag = Some(AgAlgo::Rd);
-                return p;
+                p.force_ar = Some(SchedKind::AllReduceRhd);
+                p.force_rs = Some(SchedKind::ReduceScatterRh);
+                p.force_ag = Some(SchedKind::AllGatherRd);
+                return (p, Vec::new());
             }
             _ => {}
         }
-        for part in spec.split(',') {
+        let mut ignored = Vec::new();
+        for part in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
             let Some((key, val)) = part.split_once('=') else {
+                ignored.push(part.to_string());
                 continue;
             };
-            match (key.trim(), val.trim()) {
-                ("all_reduce", "ring") => p.force_ar = Some(ArAlgo::Ring),
-                ("all_reduce", "rhd") => p.force_ar = Some(ArAlgo::Rhd),
-                ("all_reduce", "tree") => p.force_ar = Some(ArAlgo::Tree),
-                ("all_reduce", "auto") => p.force_ar = None,
-                ("reduce_scatter", "ring") => p.force_rs = Some(RsAlgo::Ring),
-                ("reduce_scatter", "rh") | ("reduce_scatter", "rhd") => {
-                    p.force_rs = Some(RsAlgo::Rh)
+            let (key, val) = (key.trim(), val.trim());
+            let slot = match key {
+                "all_reduce" => &mut p.force_ar,
+                "reduce_scatter" => &mut p.force_rs,
+                "all_gather" => &mut p.force_ag,
+                "broadcast" => &mut p.force_bcast,
+                _ => {
+                    ignored.push(part.to_string());
+                    continue;
                 }
-                ("reduce_scatter", "auto") => p.force_rs = None,
-                ("all_gather", "ring") => p.force_ag = Some(AgAlgo::Ring),
-                ("all_gather", "rd") | ("all_gather", "rhd") => p.force_ag = Some(AgAlgo::Rd),
-                ("all_gather", "auto") => p.force_ag = None,
-                ("broadcast", "ring") | ("broadcast", "chain") => {
-                    p.force_bcast = Some(BcastAlgo::Chain)
-                }
-                ("broadcast", "tree") => p.force_bcast = Some(BcastAlgo::Tree),
-                ("broadcast", "auto") => p.force_bcast = None,
-                _ => {}
+            };
+            if val == "auto" {
+                *slot = None;
+            } else if let Some(&(_, _, kind)) =
+                SPELLINGS.iter().find(|(k, a, _)| *k == key && *a == val)
+            {
+                *slot = Some(kind);
+            } else {
+                ignored.push(part.to_string());
             }
         }
-        p
+        (p, ignored)
     }
 
     /// Pick the all-reduce algorithm for `elems` elements over `g` ranks.
-    pub fn all_reduce(&self, elems: usize, g: usize) -> ArAlgo {
-        if let Some(f) = self.force_ar {
-            return if f == ArAlgo::Rhd && !g.is_power_of_two() {
-                ArAlgo::Ring
-            } else {
-                f
-            };
+    pub fn all_reduce(&self, elems: usize, g: usize) -> SchedKind {
+        if let Some(f) = forced(self.force_ar, &ALL_REDUCE, g) {
+            return f;
         }
         if elems <= self.ar_tree_max {
-            ArAlgo::Tree
+            SchedKind::AllReduceTree
         } else if g.is_power_of_two() && elems <= self.ar_rhd_max {
-            ArAlgo::Rhd
+            SchedKind::AllReduceRhd
         } else {
-            ArAlgo::Ring
+            SchedKind::AllReduce
         }
     }
 
@@ -214,48 +228,55 @@ impl AlgoPolicy {
     /// elements over `g` ranks. Divisibility (`elems % g == 0`) is a
     /// hard requirement of *both* algorithms, checked by the transport,
     /// so it is not a selection criterion.
-    pub fn reduce_scatter(&self, elems: usize, g: usize) -> RsAlgo {
-        if let Some(f) = self.force_rs {
-            return if f == RsAlgo::Rh && !g.is_power_of_two() {
-                RsAlgo::Ring
-            } else {
-                f
-            };
+    pub fn reduce_scatter(&self, elems: usize, g: usize) -> SchedKind {
+        if let Some(f) = forced(self.force_rs, &REDUCE_SCATTER, g) {
+            return f;
         }
         if g.is_power_of_two() && elems <= self.rs_rh_max {
-            RsAlgo::Rh
+            SchedKind::ReduceScatterRh
         } else {
-            RsAlgo::Ring
+            SchedKind::ReduceScatter
         }
     }
 
     /// Pick the all-gather algorithm when each rank contributes
     /// `contributed` elements over `g` ranks.
-    pub fn all_gather(&self, contributed: usize, g: usize) -> AgAlgo {
-        if let Some(f) = self.force_ag {
-            return if f == AgAlgo::Rd && !g.is_power_of_two() {
-                AgAlgo::Ring
-            } else {
-                f
-            };
+    pub fn all_gather(&self, contributed: usize, g: usize) -> SchedKind {
+        if let Some(f) = forced(self.force_ag, &ALL_GATHER, g) {
+            return f;
         }
         if g.is_power_of_two() && contributed <= self.ag_rd_max {
-            AgAlgo::Rd
+            SchedKind::AllGatherRd
         } else {
-            AgAlgo::Ring
+            SchedKind::AllGather
         }
     }
 
     /// Pick the broadcast algorithm for `elems` elements over `g` ranks.
-    pub fn broadcast(&self, elems: usize, g: usize) -> BcastAlgo {
-        let _ = g;
-        if let Some(f) = self.force_bcast {
+    pub fn broadcast(&self, elems: usize, g: usize) -> SchedKind {
+        if let Some(f) = forced(self.force_bcast, &BROADCAST, g) {
             return f;
         }
         if elems <= self.bcast_tree_max {
-            BcastAlgo::Tree
+            SchedKind::BroadcastTree
         } else {
-            BcastAlgo::Chain
+            SchedKind::Broadcast
+        }
+    }
+
+    /// The algorithm that runs when a caller requests the ring `kind`:
+    /// the four selectable collectives go through their selector
+    /// (`elems` is the selector's input — the contributed shard for
+    /// all-gather, the full buffer otherwise); every other kind, such as
+    /// the canonical-order linear reduce-scatter whose fixed fold order
+    /// is the gradient bucketizer's bit-identity contract, runs as named.
+    pub fn select(&self, kind: SchedKind, elems: usize, g: usize) -> SchedKind {
+        match kind {
+            SchedKind::AllReduce => self.all_reduce(elems, g),
+            SchedKind::ReduceScatter => self.reduce_scatter(elems, g),
+            SchedKind::AllGather => self.all_gather(elems, g),
+            SchedKind::Broadcast => self.broadcast(elems, g),
+            other => other,
         }
     }
 }
@@ -263,76 +284,119 @@ impl AlgoPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use SchedKind::*;
 
     #[test]
     fn defaults_select_by_size_and_group() {
         let p = AlgoPolicy::default();
-        assert_eq!(p.all_reduce(256, 4), ArAlgo::Tree);
-        assert_eq!(p.all_reduce(1024, 4), ArAlgo::Tree, "threshold inclusive");
-        assert_eq!(p.all_reduce(1025, 4), ArAlgo::Rhd);
-        assert_eq!(p.all_reduce(1 << 20, 4), ArAlgo::Rhd);
-        assert_eq!(p.all_reduce(1 << 22, 4), ArAlgo::Rhd, "threshold inclusive");
-        assert_eq!(p.all_reduce((1 << 22) + 1, 4), ArAlgo::Ring);
+        assert_eq!(p.all_reduce(256, 4), AllReduceTree);
+        assert_eq!(p.all_reduce(1024, 4), AllReduceTree, "threshold inclusive");
+        assert_eq!(p.all_reduce(1025, 4), AllReduceRhd);
+        assert_eq!(p.all_reduce(1 << 20, 4), AllReduceRhd);
+        assert_eq!(
+            p.all_reduce(1 << 22, 4),
+            AllReduceRhd,
+            "threshold inclusive"
+        );
+        assert_eq!(p.all_reduce((1 << 22) + 1, 4), AllReduce);
         // Non-power-of-two groups: tree still legal, rhd is not.
-        assert_eq!(p.all_reduce(256, 3), ArAlgo::Tree);
-        assert_eq!(p.all_reduce(1 << 20, 3), ArAlgo::Ring);
-        assert_eq!(p.reduce_scatter(1 << 16, 4), RsAlgo::Rh);
-        assert_eq!(p.reduce_scatter((1 << 18) + 4, 4), RsAlgo::Ring);
-        assert_eq!(p.reduce_scatter(1 << 16, 6), RsAlgo::Ring);
-        assert_eq!(p.all_gather(1 << 10, 8), AgAlgo::Rd);
-        assert_eq!(p.all_gather((1 << 18) + 1, 8), AgAlgo::Ring);
-        assert_eq!(p.all_gather(1 << 10, 5), AgAlgo::Ring);
-        assert_eq!(p.broadcast(4096, 4), BcastAlgo::Tree);
-        assert_eq!(p.broadcast(4097, 4), BcastAlgo::Chain);
+        assert_eq!(p.all_reduce(256, 3), AllReduceTree);
+        assert_eq!(p.all_reduce(1 << 20, 3), AllReduce);
+        assert_eq!(p.reduce_scatter(1 << 16, 4), ReduceScatterRh);
+        assert_eq!(p.reduce_scatter((1 << 18) + 4, 4), ReduceScatter);
+        assert_eq!(p.reduce_scatter(1 << 16, 6), ReduceScatter);
+        assert_eq!(p.all_gather(1 << 10, 8), AllGatherRd);
+        assert_eq!(p.all_gather((1 << 18) + 1, 8), AllGather);
+        assert_eq!(p.all_gather(1 << 10, 5), AllGather);
+        assert_eq!(p.broadcast(4096, 4), BroadcastTree);
+        assert_eq!(p.broadcast(4097, 4), Broadcast);
+    }
+
+    #[test]
+    fn select_routes_ring_requests_and_keeps_the_rest() {
+        let p = AlgoPolicy::default();
+        assert_eq!(p.select(AllReduce, 256, 4), AllReduceTree);
+        assert_eq!(p.select(AllGather, 1 << 10, 8), AllGatherRd);
+        assert_eq!(p.select(ReduceScatterLinear, 16, 4), ReduceScatterLinear);
+        assert_eq!(p.select(AllReduceLinear, 16, 4), AllReduceLinear);
+        assert_eq!(p.select(Barrier, 1, 4), Barrier);
     }
 
     #[test]
     fn ring_only_pins_every_collective() {
         let p = AlgoPolicy::ring_only();
-        assert_eq!(p.all_reduce(1, 4), ArAlgo::Ring);
-        assert_eq!(p.reduce_scatter(4, 4), RsAlgo::Ring);
-        assert_eq!(p.all_gather(1, 4), AgAlgo::Ring);
-        assert_eq!(p.broadcast(1, 4), BcastAlgo::Chain);
+        assert_eq!(p.all_reduce(1, 4), AllReduce);
+        assert_eq!(p.reduce_scatter(4, 4), ReduceScatter);
+        assert_eq!(p.all_gather(1, 4), AllGather);
+        assert_eq!(p.broadcast(1, 4), Broadcast);
     }
 
     #[test]
     fn forced_algorithms_fall_back_when_illegal() {
         let p = AlgoPolicy {
-            force_ar: Some(ArAlgo::Rhd),
-            force_rs: Some(RsAlgo::Rh),
-            force_ag: Some(AgAlgo::Rd),
+            force_ar: Some(AllReduceRhd),
+            force_rs: Some(ReduceScatterRh),
+            force_ag: Some(AllGatherRd),
             ..AlgoPolicy::default()
         };
-        assert_eq!(p.all_reduce(1 << 20, 8), ArAlgo::Rhd);
-        assert_eq!(p.all_reduce(1 << 20, 6), ArAlgo::Ring, "rhd needs pow2");
-        assert_eq!(p.reduce_scatter(12, 6), RsAlgo::Ring);
-        assert_eq!(p.all_gather(2, 6), AgAlgo::Ring);
+        assert_eq!(p.all_reduce(1 << 20, 8), AllReduceRhd);
+        assert_eq!(p.all_reduce(1 << 20, 6), AllReduce, "rhd needs pow2");
+        assert_eq!(p.reduce_scatter(12, 6), ReduceScatter);
+        assert_eq!(p.all_gather(2, 6), AllGather);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "forced for all_reduce")]
+    fn forcing_another_collectives_kind_is_caught() {
+        let p = AlgoPolicy {
+            force_ar: Some(AllGatherRd),
+            ..AlgoPolicy::default()
+        };
+        let _ = p.all_reduce(16, 4);
     }
 
     #[test]
     fn parse_global_forces() {
-        assert_eq!(AlgoPolicy::parse("auto"), AlgoPolicy::default());
-        assert_eq!(AlgoPolicy::parse(""), AlgoPolicy::default());
-        assert_eq!(AlgoPolicy::parse("ring"), AlgoPolicy::ring_only());
-        let tree = AlgoPolicy::parse("tree");
-        assert_eq!(tree.force_ar, Some(ArAlgo::Tree));
-        assert_eq!(tree.force_bcast, Some(BcastAlgo::Tree));
+        let none = Vec::<String>::new();
+        assert_eq!(
+            AlgoPolicy::parse("auto"),
+            (AlgoPolicy::default(), none.clone())
+        );
+        assert_eq!(AlgoPolicy::parse(""), (AlgoPolicy::default(), none.clone()));
+        assert_eq!(AlgoPolicy::parse("ring"), (AlgoPolicy::ring_only(), none));
+        let (tree, _) = AlgoPolicy::parse("tree");
+        assert_eq!(tree.force_ar, Some(AllReduceTree));
+        assert_eq!(tree.force_bcast, Some(BroadcastTree));
         assert_eq!(tree.force_rs, None);
-        let rhd = AlgoPolicy::parse("rhd");
-        assert_eq!(rhd.force_ar, Some(ArAlgo::Rhd));
-        assert_eq!(rhd.force_rs, Some(RsAlgo::Rh));
-        assert_eq!(rhd.force_ag, Some(AgAlgo::Rd));
+        let (rhd, _) = AlgoPolicy::parse("rhd");
+        assert_eq!(rhd.force_ar, Some(AllReduceRhd));
+        assert_eq!(rhd.force_rs, Some(ReduceScatterRh));
+        assert_eq!(rhd.force_ag, Some(AllGatherRd));
     }
 
     #[test]
     fn parse_per_collective_overrides() {
-        let p = AlgoPolicy::parse("all_reduce=tree,all_gather=ring,broadcast=chain");
-        assert_eq!(p.force_ar, Some(ArAlgo::Tree));
-        assert_eq!(p.force_ag, Some(AgAlgo::Ring));
-        assert_eq!(p.force_bcast, Some(BcastAlgo::Chain));
+        let (p, ignored) = AlgoPolicy::parse("all_reduce=tree,all_gather=ring,broadcast=chain");
+        assert_eq!(p.force_ar, Some(AllReduceTree));
+        assert_eq!(p.force_ag, Some(AllGather));
+        assert_eq!(p.force_bcast, Some(Broadcast));
         assert_eq!(p.force_rs, None);
-        // Unknown tokens never brick a run.
-        assert_eq!(AlgoPolicy::parse("bogus"), AlgoPolicy::default());
-        assert_eq!(AlgoPolicy::parse("all_reduce=warp9"), AlgoPolicy::default());
+        assert!(ignored.is_empty(), "{ignored:?}");
+        // Unknown tokens never brick a run, but they are reported.
+        assert_eq!(
+            AlgoPolicy::parse("bogus"),
+            (AlgoPolicy::default(), vec!["bogus".to_string()])
+        );
+        assert_eq!(
+            AlgoPolicy::parse("all_reduce=warp9"),
+            (AlgoPolicy::default(), vec!["all_reduce=warp9".to_string()])
+        );
+        // An algorithm of another collective is ignored too; valid
+        // tokens next to it still apply.
+        let (p, ignored) = AlgoPolicy::parse("all_gather=tree, reduce_scatter=rh");
+        assert_eq!(p.force_ag, None);
+        assert_eq!(p.force_rs, Some(ReduceScatterRh));
+        assert_eq!(ignored, vec!["all_gather=tree".to_string()]);
     }
 }

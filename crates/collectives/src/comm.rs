@@ -12,37 +12,18 @@
 //! fallible `try_*` API returning [`CommError`], which is what the
 //! fault-tolerant supervisor builds on.
 
-use crate::algo::{AgAlgo, AlgoPolicy, ArAlgo, BcastAlgo, RsAlgo};
-use crate::cost::{CollectiveKind, CostModel, NullCost};
+use crate::algo::AlgoPolicy;
+use crate::cost::{CostModel, NullCost};
 use crate::fault::{unwrap_comm, CommError, FaultConfig};
 use crate::fold;
 use crate::group::ProcessGroup;
 use crate::mailbox::{MsgKey, PoisonInfo, Transport};
 use crate::pool::{segment_ranges, Payload, PipelineConfig, PoolStats};
 use crate::sched::{SchedEvent, SchedKind, SchedOp};
-use axonn_trace::{CollOp, EventDetail, Stream, TraceSink, XferStats};
+use axonn_trace::{EventDetail, Stream, TraceSink, XferStats};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Trace-event op label for a modelled collective kind.
-pub(crate) fn coll_op(kind: CollectiveKind) -> CollOp {
-    match kind {
-        CollectiveKind::AllGather => CollOp::AllGather,
-        CollectiveKind::AllGatherRecursiveDoubling => CollOp::AllGatherRd,
-        CollectiveKind::ReduceScatter => CollOp::ReduceScatter,
-        CollectiveKind::ReduceScatterRecursiveHalving => CollOp::ReduceScatterRh,
-        CollectiveKind::AllReduce => CollOp::AllReduce,
-        CollectiveKind::AllReduceRecursiveDoubling => CollOp::AllReduceRd,
-        CollectiveKind::AllReduceRecursiveHalvingDoubling => CollOp::AllReduceRhd,
-        CollectiveKind::AllReduceTree => CollOp::AllReduceTree,
-        CollectiveKind::Broadcast => CollOp::Broadcast,
-        CollectiveKind::BroadcastTree => CollOp::BroadcastTree,
-        // Point-to-point transfers have no dedicated trace op; the
-        // barrier label is the closest stand-in and keeps the map total.
-        CollectiveKind::Barrier | CollectiveKind::PointToPoint => CollOp::Barrier,
-    }
-}
 
 /// Virtual-time state of one rank, shared between its main thread and its
 /// async communication worker.
@@ -370,7 +351,8 @@ pub mod lane {
     /// Clock synchronisation (gather to root, then fan-out).
     pub const CLOCK_UP: u32 = 0x0003_0000;
     pub const CLOCK_DOWN: u32 = 0x0004_0000;
-    /// Recursive-doubling exchange steps: `RD + s`.
+    /// Whole-buffer recursive-doubling exchange steps (`RD + s`) of
+    /// `SchedKind::AllReduceRd`, which the runtime no longer issues.
     pub const RD: u32 = 0x0005_0000;
     /// Direct-exchange (linear-order) reduce-scatter: `LRS + segment`.
     /// One logical step — receivers disambiguate senders by source rank.
@@ -756,30 +738,20 @@ impl Comm {
         group: &ProcessGroup,
         shard: &[f32],
     ) -> Result<Vec<f32>, CommError> {
-        let algo = self.shared.algo.all_gather(shard.len(), group.size());
-        let (sched, kind, name) = match algo {
-            AgAlgo::Ring => (
-                SchedKind::AllGather,
-                CollectiveKind::AllGather,
-                "all_gather",
-            ),
-            AgAlgo::Rd => (
-                SchedKind::AllGatherRd,
-                CollectiveKind::AllGatherRecursiveDoubling,
-                "all_gather_rd",
-            ),
-        };
+        let kind = self.shared.algo.all_gather(shard.len(), group.size());
         let seq = self.next_seq(group);
-        self.record_issue(sched, group, shard.len(), None, None, true, false, seq);
+        self.record_issue(kind, group, shard.len(), None, None, true, false, seq);
         if self.shared.dry {
             return Ok(vec![0.0; shard.len() * group.size()]);
         }
-        let _op = self.op_scope(name);
+        let _op = self.op_scope(kind.label());
         let wall = self.wall_now();
         let mut stats = HopStats::default();
-        let out = match algo {
-            AgAlgo::Ring => ring_all_gather(&self.shared, self.rank, group, seq, shard, &mut stats),
-            AgAlgo::Rd => rd_all_gather(&self.shared, self.rank, group, seq, shard, &mut stats),
+        let out = match kind {
+            SchedKind::AllGatherRd => {
+                rd_all_gather(&self.shared, self.rank, group, seq, shard, &mut stats)
+            }
+            _ => ring_all_gather(&self.shared, self.rank, group, seq, shard, &mut stats),
         }?;
         self.charge_blocking(group, seq, kind, (out.len() * 4) as f64, wall, stats)?;
         Ok(out)
@@ -800,22 +772,10 @@ impl Comm {
         group: &ProcessGroup,
         buf: &[f32],
     ) -> Result<Vec<f32>, CommError> {
-        let algo = self.shared.algo.reduce_scatter(buf.len(), group.size());
-        let (sched, kind, name) = match algo {
-            RsAlgo::Ring => (
-                SchedKind::ReduceScatter,
-                CollectiveKind::ReduceScatter,
-                "reduce_scatter",
-            ),
-            RsAlgo::Rh => (
-                SchedKind::ReduceScatterRh,
-                CollectiveKind::ReduceScatterRecursiveHalving,
-                "reduce_scatter_rh",
-            ),
-        };
+        let kind = self.shared.algo.reduce_scatter(buf.len(), group.size());
         let seq = self.next_seq(group);
         self.record_issue(
-            sched,
+            kind,
             group,
             buf.len(),
             None,
@@ -827,14 +787,11 @@ impl Comm {
         if self.shared.dry {
             return self.dry_reduce_scatter(buf.len(), group, "reduce_scatter");
         }
-        let _op = self.op_scope(name);
+        let _op = self.op_scope(kind.label());
         let wall = self.wall_now();
         let mut stats = HopStats::default();
-        let out = match algo {
-            RsAlgo::Ring => {
-                ring_reduce_scatter(&self.shared, self.rank, group, seq, buf, &mut stats)
-            }
-            RsAlgo::Rh => rh_reduce_scatter_op(
+        let out = match kind {
+            SchedKind::ReduceScatterRh => rh_reduce_scatter_op(
                 &self.shared,
                 self.rank,
                 group,
@@ -843,6 +800,7 @@ impl Comm {
                 ReduceOp::Sum,
                 &mut stats,
             ),
+            _ => ring_reduce_scatter(&self.shared, self.rank, group, seq, buf, &mut stats),
         }?;
         self.charge_blocking(group, seq, kind, (buf.len() * 4) as f64, wall, stats)?;
         Ok(out)
@@ -876,18 +834,12 @@ impl Comm {
         if self.shared.dry {
             return self.dry_reduce_scatter(buf.len(), group, "reduce_scatter_linear");
         }
-        let _op = self.op_scope("reduce_scatter");
+        let kind = SchedKind::ReduceScatterLinear;
+        let _op = self.op_scope(kind.label());
         let wall = self.wall_now();
         let mut stats = HopStats::default();
         let out = linear_reduce_scatter(&self.shared, self.rank, group, seq, buf, &mut stats)?;
-        self.charge_blocking(
-            group,
-            seq,
-            CollectiveKind::ReduceScatter,
-            (buf.len() * 4) as f64,
-            wall,
-            stats,
-        )?;
+        self.charge_blocking(group, seq, kind, (buf.len() * 4) as f64, wall, stats)?;
         Ok(out)
     }
 
@@ -924,7 +876,8 @@ impl Comm {
         if self.shared.dry {
             return Ok(());
         }
-        let _op = self.op_scope("all_reduce");
+        let kind = SchedKind::AllReduceLinear;
+        let _op = self.op_scope(kind.label());
         let wall = self.wall_now();
         let mut stats = HopStats::default();
         let n = buf.len();
@@ -933,14 +886,7 @@ impl Comm {
         let mine = linear_reduce_scatter(&self.shared, self.rank, group, seq, &work, &mut stats)?;
         let full = ring_all_gather(&self.shared, self.rank, group, seq, &mine, &mut stats)?;
         buf.copy_from_slice(&full[..n]);
-        self.charge_blocking(
-            group,
-            seq,
-            CollectiveKind::AllReduce,
-            (n * 4) as f64,
-            wall,
-            stats,
-        )
+        self.charge_blocking(group, seq, kind, (n * 4) as f64, wall, stats)
     }
 
     /// Blocking all-reduce (sum) in place: reduce-scatter + all-gather.
@@ -972,84 +918,25 @@ impl Comm {
         buf: &mut [f32],
         op: ReduceOp,
     ) -> Result<(), CommError> {
-        let algo = self.shared.algo.all_reduce(buf.len(), group.size());
-        let (sched, kind, name) = match algo {
-            ArAlgo::Ring => (
-                SchedKind::AllReduce,
-                CollectiveKind::AllReduce,
-                "all_reduce",
-            ),
-            ArAlgo::Rhd => (
-                SchedKind::AllReduceRhd,
-                CollectiveKind::AllReduceRecursiveHalvingDoubling,
-                "all_reduce_rhd",
-            ),
-            ArAlgo::Tree => (
-                SchedKind::AllReduceTree,
-                CollectiveKind::AllReduceTree,
-                "all_reduce_tree",
-            ),
-        };
+        let kind = self.shared.algo.all_reduce(buf.len(), group.size());
         let seq = self.next_seq(group);
-        self.record_issue(sched, group, buf.len(), None, Some(op), true, false, seq);
+        self.record_issue(kind, group, buf.len(), None, Some(op), true, false, seq);
         if self.shared.dry {
             return Ok(());
         }
-        let _op = self.op_scope(name);
+        let _op = self.op_scope(kind.label());
         let wall = self.wall_now();
         let mut stats = HopStats::default();
-        match algo {
-            ArAlgo::Ring => {
-                ring_all_reduce(&self.shared, self.rank, group, seq, buf, op, &mut stats)
+        match kind {
+            SchedKind::AllReduceRhd => {
+                rhd_all_reduce(&self.shared, self.rank, group, seq, buf, op, &mut stats)
             }
-            ArAlgo::Rhd => rhd_all_reduce(&self.shared, self.rank, group, seq, buf, op, &mut stats),
-            ArAlgo::Tree => {
+            SchedKind::AllReduceTree => {
                 tree_all_reduce(&self.shared, self.rank, group, seq, buf, op, &mut stats)
             }
+            _ => ring_all_reduce(&self.shared, self.rank, group, seq, buf, op, &mut stats),
         }?;
         self.charge_blocking(group, seq, kind, (buf.len() * 4) as f64, wall, stats)
-    }
-
-    /// Blocking all-reduce choosing the algorithm the way NCCL does:
-    /// recursive doubling for small buffers (latency-bound) on
-    /// power-of-two groups, ring otherwise (bandwidth-bound). Results are
-    /// identical up to floating-point summation order.
-    pub fn all_reduce_auto(&self, group: &ProcessGroup, buf: &mut [f32]) {
-        const SMALL_ELEMS: usize = 4096;
-        if buf.len() <= SMALL_ELEMS && group.size().is_power_of_two() {
-            let seq = self.next_seq(group);
-            self.record_issue(
-                SchedKind::AllReduceRd,
-                group,
-                buf.len(),
-                None,
-                Some(ReduceOp::Sum),
-                true,
-                false,
-                seq,
-            );
-            if self.shared.dry {
-                return;
-            }
-            let _op = self.op_scope("all_reduce_rd");
-            let wall = self.wall_now();
-            let mut stats = HopStats::default();
-            unwrap_comm(
-                recursive_doubling_all_reduce(&self.shared, self.rank, group, seq, buf, &mut stats)
-                    .and_then(|()| {
-                        self.charge_blocking(
-                            group,
-                            seq,
-                            CollectiveKind::AllReduceRecursiveDoubling,
-                            (buf.len() * 4) as f64,
-                            wall,
-                            stats,
-                        )
-                    }),
-            );
-        } else {
-            self.all_reduce(group, buf);
-        }
     }
 
     /// Blocking broadcast from the member at group position `root_pos`.
@@ -1064,18 +951,10 @@ impl Comm {
         root_pos: usize,
         buf: &mut [f32],
     ) -> Result<(), CommError> {
-        let algo = self.shared.algo.broadcast(buf.len(), group.size());
-        let (sched, kind, name) = match algo {
-            BcastAlgo::Chain => (SchedKind::Broadcast, CollectiveKind::Broadcast, "broadcast"),
-            BcastAlgo::Tree => (
-                SchedKind::BroadcastTree,
-                CollectiveKind::BroadcastTree,
-                "broadcast_tree",
-            ),
-        };
+        let kind = self.shared.algo.broadcast(buf.len(), group.size());
         let seq = self.next_seq(group);
         self.record_issue(
-            sched,
+            kind,
             group,
             buf.len(),
             Some(root_pos),
@@ -1087,11 +966,11 @@ impl Comm {
         if self.shared.dry {
             return Ok(());
         }
-        let _op = self.op_scope(name);
+        let _op = self.op_scope(kind.label());
         let wall = self.wall_now();
         let mut stats = HopStats::default();
-        match algo {
-            BcastAlgo::Chain => ring_broadcast(
+        match kind {
+            SchedKind::BroadcastTree => tree_broadcast(
                 &self.shared,
                 self.rank,
                 group,
@@ -1100,7 +979,7 @@ impl Comm {
                 buf,
                 &mut stats,
             ),
-            BcastAlgo::Tree => tree_broadcast(
+            _ => ring_broadcast(
                 &self.shared,
                 self.rank,
                 group,
@@ -1136,7 +1015,7 @@ impl Comm {
         if self.shared.dry {
             return Ok(());
         }
-        let _op = self.op_scope("barrier");
+        let _op = self.op_scope(SchedKind::Barrier.label());
         let wall = self.wall_now();
         let mut stats = HopStats::default();
         ring_all_reduce(
@@ -1148,7 +1027,7 @@ impl Comm {
             ReduceOp::Sum,
             &mut stats,
         )?;
-        self.charge_blocking(group, seq, CollectiveKind::Barrier, 0.0, wall, stats)
+        self.charge_blocking(group, seq, SchedKind::Barrier, 0.0, wall, stats)
     }
 
     /// Wall-clock timestamp for trace events (0 when not tracing).
@@ -1174,14 +1053,14 @@ impl Comm {
     /// the modelled op time on timed worlds.
     pub(crate) fn stamp_metrics(
         &self,
-        kind: CollectiveKind,
+        kind: SchedKind,
         bytes: u64,
         seconds: Option<f64>,
         xfer: XferStats,
     ) {
         self.shared.transport.beats().note_collective(self.rank);
         if let Some(m) = &self.shared.metrics {
-            m.record_collective(coll_op(kind), bytes, seconds, xfer);
+            m.record_collective(kind, bytes, seconds, xfer);
         }
     }
 
@@ -1194,7 +1073,7 @@ impl Comm {
         &self,
         group: &ProcessGroup,
         seq: u64,
-        kind: CollectiveKind,
+        kind: SchedKind,
         bytes: f64,
         wall_start: u64,
         stats: HopStats,
@@ -1236,7 +1115,7 @@ impl Comm {
                 tracer.now_ns(),
                 tracer.layer(),
                 EventDetail::Collective {
-                    op: coll_op(kind),
+                    op: kind,
                     group_size: group.size(),
                     bytes: bytes as u64,
                     seq,
@@ -1535,49 +1414,6 @@ pub(crate) fn ring_all_reduce(
     let mine = ring_reduce_scatter_op(shared, rank, group, seq, &work, op, stats)?;
     let full = ring_all_gather(shared, rank, group, seq, &mine, stats)?;
     buf.copy_from_slice(&full[..n]);
-    Ok(())
-}
-
-/// Recursive-doubling all-reduce: at step `s`, exchange the whole buffer
-/// with the partner at position `pos XOR 2^s` and add. `log2(g)` steps —
-/// latency-optimal, used for small messages. Power-of-two groups only.
-pub(crate) fn recursive_doubling_all_reduce(
-    shared: &CommShared,
-    rank: usize,
-    group: &ProcessGroup,
-    seq: u64,
-    buf: &mut [f32],
-    stats: &mut HopStats,
-) -> Result<(), CommError> {
-    let g = group.size();
-    if g == 1 {
-        return Ok(());
-    }
-    assert!(
-        g.is_power_of_two(),
-        "recursive doubling needs a power-of-two group"
-    );
-    // Recursive doubling serves the latency-bound small-message regime:
-    // whole-buffer exchanges, never segmented.
-    stats.chunks = stats.chunks.max(1);
-    let gk = group.key();
-    let pos = group.position_of(rank);
-    let mut stride = 1usize;
-    let mut s = 0u32;
-    while stride < g {
-        let partner = group.rank_at(pos ^ stride);
-        let payload = pooled(shared, buf, stats);
-        shared
-            .transport
-            .send(rank, partner, msg_key(gk, seq, lane::RD + s), payload);
-        let data = shared
-            .transport
-            .recv_result(rank, partner, msg_key(gk, seq, lane::RD + s))?;
-        assert_eq!(data.len(), buf.len(), "recursive-doubling length mismatch");
-        fold::fold_sum(buf, &data);
-        stride <<= 1;
-        s += 1;
-    }
     Ok(())
 }
 
@@ -1947,9 +1783,10 @@ mod algo_smoke {
     //! real messages under the interpreter. Correctness at scale lives
     //! in `tests/algo_equivalence.rs`; these only have to be small.
 
-    use crate::algo::{AgAlgo, AlgoPolicy, ArAlgo, BcastAlgo, RsAlgo};
+    use crate::algo::AlgoPolicy;
     use crate::comm::{Comm, CommWorld};
     use crate::group::ProcessGroup;
+    use crate::sched::SchedKind;
     use std::thread;
 
     fn run_forced<T: Send + 'static>(
@@ -1972,7 +1809,7 @@ mod algo_smoke {
     #[test]
     fn rhd_lanes_carry_a_two_rank_all_reduce() {
         let policy = AlgoPolicy {
-            force_ar: Some(ArAlgo::Rhd),
+            force_ar: Some(SchedKind::AllReduceRhd),
             ..AlgoPolicy::default()
         };
         let out = run_forced(2, policy, |c| {
@@ -1987,7 +1824,7 @@ mod algo_smoke {
     #[test]
     fn tree_lanes_carry_a_three_rank_all_reduce() {
         let policy = AlgoPolicy {
-            force_ar: Some(ArAlgo::Tree),
+            force_ar: Some(SchedKind::AllReduceTree),
             ..AlgoPolicy::default()
         };
         let out = run_forced(3, policy, |c| {
@@ -2002,8 +1839,8 @@ mod algo_smoke {
     #[test]
     fn halving_and_doubling_lanes_carry_rs_then_ag() {
         let policy = AlgoPolicy {
-            force_rs: Some(RsAlgo::Rh),
-            force_ag: Some(AgAlgo::Rd),
+            force_rs: Some(SchedKind::ReduceScatterRh),
+            force_ag: Some(SchedKind::AllGatherRd),
             ..AlgoPolicy::default()
         };
         let out = run_forced(2, policy, |c| {
@@ -2017,7 +1854,7 @@ mod algo_smoke {
     #[test]
     fn tree_down_lane_carries_a_broadcast() {
         let policy = AlgoPolicy {
-            force_bcast: Some(BcastAlgo::Tree),
+            force_bcast: Some(SchedKind::BroadcastTree),
             ..AlgoPolicy::default()
         };
         let out = run_forced(3, policy, |c| {

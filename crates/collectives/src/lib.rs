@@ -29,9 +29,9 @@ pub mod reference;
 pub mod sched;
 pub mod telemetry;
 
-pub use algo::{AgAlgo, AlgoPolicy, ArAlgo, BcastAlgo, RsAlgo};
+pub use algo::AlgoPolicy;
 pub use comm::{Comm, CommWorld, ReduceOp, WorldBuilder};
-pub use cost::{CollectiveKind, CostModel, NullCost, RingCostModel};
+pub use cost::{steps_volume, CostModel, NullCost, RingCostModel};
 pub use fault::{
     CommError, DropRule, FailureKind, FailureRecord, FaultConfig, InjectedKill, StallRule,
     WallStallRule, DEFAULT_RECV_TIMEOUT,

@@ -9,9 +9,7 @@
 //! overlap genuinely reduces virtual batch time exactly when it reduces
 //! non-overlapped communication.
 
-use crate::algo::{AgAlgo, AlgoPolicy, ArAlgo, RsAlgo};
-use crate::comm::{clock_sync, coll_op, Comm, CommShared, HopStats};
-use crate::cost::CollectiveKind;
+use crate::comm::{clock_sync, Comm, CommShared, HopStats};
 use crate::fault::{unwrap_comm, CommError};
 use crate::group::ProcessGroup;
 use crate::pool::Payload;
@@ -42,41 +40,14 @@ pub enum AsyncOp {
 }
 
 impl AsyncOp {
-    /// Resolve the effective algorithm for this op under `policy` on a
-    /// group of `g` ranks. The returned [`CollectiveKind`] names the
-    /// algorithm (the worker dispatches on it; the cost model prices
-    /// it), the [`SchedKind`] its wire lanes (the verifier matches on
-    /// it). Canonical-order linear reduce-scatter is exempt from
-    /// selection: its fixed fold order is the contract the gradient
-    /// bucketizer's bit-identity rests on.
-    fn select(&self, policy: &AlgoPolicy, g: usize) -> (CollectiveKind, SchedKind) {
+    /// The ring kind this op requests; [`crate::AlgoPolicy::select`]
+    /// resolves the algorithm that runs.
+    fn requested(&self) -> SchedKind {
         match self {
-            AsyncOp::AllReduce(p) => match policy.all_reduce(p.len(), g) {
-                ArAlgo::Ring => (CollectiveKind::AllReduce, SchedKind::AllReduce),
-                ArAlgo::Rhd => (
-                    CollectiveKind::AllReduceRecursiveHalvingDoubling,
-                    SchedKind::AllReduceRhd,
-                ),
-                ArAlgo::Tree => (CollectiveKind::AllReduceTree, SchedKind::AllReduceTree),
-            },
-            AsyncOp::ReduceScatter(p) => match policy.reduce_scatter(p.len(), g) {
-                RsAlgo::Ring => (CollectiveKind::ReduceScatter, SchedKind::ReduceScatter),
-                RsAlgo::Rh => (
-                    CollectiveKind::ReduceScatterRecursiveHalving,
-                    SchedKind::ReduceScatterRh,
-                ),
-            },
-            AsyncOp::ReduceScatterLinear(_) => (
-                CollectiveKind::ReduceScatter,
-                SchedKind::ReduceScatterLinear,
-            ),
-            AsyncOp::AllGather(p) => match policy.all_gather(p.len(), g) {
-                AgAlgo::Ring => (CollectiveKind::AllGather, SchedKind::AllGather),
-                AgAlgo::Rd => (
-                    CollectiveKind::AllGatherRecursiveDoubling,
-                    SchedKind::AllGatherRd,
-                ),
-            },
+            AsyncOp::AllReduce(_) => SchedKind::AllReduce,
+            AsyncOp::ReduceScatter(_) => SchedKind::ReduceScatter,
+            AsyncOp::ReduceScatterLinear(_) => SchedKind::ReduceScatterLinear,
+            AsyncOp::AllGather(_) => SchedKind::AllGather,
         }
     }
 
@@ -95,7 +66,7 @@ pub(crate) struct Job {
     op: AsyncOp,
     /// Effective algorithm, resolved at issue time (the worker must
     /// execute exactly what was recorded in the schedule stream).
-    kind: CollectiveKind,
+    kind: SchedKind,
     seq: u64,
     issue_clock: f64,
     /// Layer scope at issue time, stamped onto the execution span so
@@ -109,7 +80,7 @@ pub struct AsyncHandle {
     rx: Receiver<Result<(Vec<f32>, f64), CommError>>,
     rank: usize,
     shared: Arc<CommShared>,
-    kind: CollectiveKind,
+    kind: SchedKind,
     seq: u64,
     group_key: u64,
     group_size: usize,
@@ -182,7 +153,7 @@ impl AsyncHandle {
                     now,
                     tracer.layer(),
                     EventDetail::OverlapWait {
-                        op: coll_op(self.kind),
+                        op: self.kind,
                         seq: self.seq,
                     },
                 );
@@ -203,13 +174,16 @@ impl Comm {
     /// the same program order, as in SPMD code).
     pub fn start_async(&self, group: &ProcessGroup, op: AsyncOp) -> AsyncHandle {
         self.shared.transport.check_poison();
-        let (kind, sched) = op.select(&self.shared.algo, group.size());
+        let kind = self
+            .shared
+            .algo
+            .select(op.requested(), op.payload().len(), group.size());
         let seq = self.next_seq(group);
         // Buffer-identity annotations for the verifier: the payload's id
         // is the logical buffer this op's overlap window covers, and its
         // slab id (pooled payloads only) keys the lifetime analysis.
         self.record_issue_tagged(
-            sched,
+            kind,
             group,
             op.payload().len(),
             None,
@@ -270,7 +244,7 @@ impl Comm {
                 Stream::Compute,
                 issue_clock,
                 EventDetail::Issue {
-                    op: coll_op(kind),
+                    op: kind,
                     group_size: group.size(),
                     bytes: bytes as u64,
                     seq,
@@ -371,7 +345,7 @@ fn run_job(rank: usize, shared: &Arc<CommShared>, job: Job) {
     let wall_start = shared.tracer.as_ref().map(|t| t.now_ns()).unwrap_or(0);
     // Watchdog marker: the comm worker is inside this collective until
     // the job resolves (cleared below, error or not).
-    shared.transport.beats().set_op(rank, coll_op(kind).name());
+    shared.transport.beats().set_op(rank, kind.label());
     let outcome = (|| -> Result<(Vec<f32>, f64), CommError> {
         let bytes;
         let mut stats = HopStats::default();
@@ -382,18 +356,16 @@ fn run_job(rank: usize, shared: &Arc<CommShared>, job: Job) {
                 // reference; otherwise one copy into a work buffer.
                 let mut buf = payload.into_vec();
                 match kind {
-                    CollectiveKind::AllReduceRecursiveHalvingDoubling => {
-                        crate::comm::rhd_all_reduce(
-                            shared,
-                            rank,
-                            &group,
-                            seq,
-                            &mut buf,
-                            crate::comm::ReduceOp::Sum,
-                            &mut stats,
-                        )?
-                    }
-                    CollectiveKind::AllReduceTree => crate::comm::tree_all_reduce(
+                    SchedKind::AllReduceRhd => crate::comm::rhd_all_reduce(
+                        shared,
+                        rank,
+                        &group,
+                        seq,
+                        &mut buf,
+                        crate::comm::ReduceOp::Sum,
+                        &mut stats,
+                    )?,
+                    SchedKind::AllReduceTree => crate::comm::tree_all_reduce(
                         shared,
                         rank,
                         &group,
@@ -417,17 +389,15 @@ fn run_job(rank: usize, shared: &Arc<CommShared>, job: Job) {
             AsyncOp::ReduceScatter(payload) => {
                 bytes = (payload.len() * 4) as f64;
                 match kind {
-                    CollectiveKind::ReduceScatterRecursiveHalving => {
-                        crate::comm::rh_reduce_scatter_op(
-                            shared,
-                            rank,
-                            &group,
-                            seq,
-                            &payload,
-                            crate::comm::ReduceOp::Sum,
-                            &mut stats,
-                        )?
-                    }
+                    SchedKind::ReduceScatterRh => crate::comm::rh_reduce_scatter_op(
+                        shared,
+                        rank,
+                        &group,
+                        seq,
+                        &payload,
+                        crate::comm::ReduceOp::Sum,
+                        &mut stats,
+                    )?,
                     _ => crate::comm::ring_reduce_scatter(
                         shared, rank, &group, seq, &payload, &mut stats,
                     )?,
@@ -440,7 +410,7 @@ fn run_job(rank: usize, shared: &Arc<CommShared>, job: Job) {
             AsyncOp::AllGather(shard) => {
                 bytes = (shard.len() * group.size() * 4) as f64;
                 match kind {
-                    CollectiveKind::AllGatherRecursiveDoubling => {
+                    SchedKind::AllGatherRd => {
                         crate::comm::rd_all_gather(shared, rank, &group, seq, &shard, &mut stats)?
                     }
                     _ => {
@@ -479,7 +449,7 @@ fn run_job(rank: usize, shared: &Arc<CommShared>, job: Job) {
                     tracer.now_ns(),
                     layer,
                     EventDetail::Collective {
-                        op: coll_op(kind),
+                        op: kind,
                         group_size: group.size(),
                         bytes: bytes as u64,
                         seq,
@@ -497,7 +467,7 @@ fn run_job(rank: usize, shared: &Arc<CommShared>, job: Job) {
         if group.size() > 1 {
             shared.transport.beats().note_collective(rank);
             if let Some(m) = &shared.metrics {
-                m.record_collective(coll_op(kind), bytes as u64, modeled_cost, stats.xfer());
+                m.record_collective(kind, bytes as u64, modeled_cost, stats.xfer());
             }
         }
         Ok((result, completion))

@@ -18,7 +18,7 @@ use crate::group::ProcessGroup;
 /// shard each member ends up with, folding exactly as the parallel
 /// algorithm does (`own = op(own, incoming)` on the kept half at every
 /// step, partners snapshotted pre-step). Bitwise oracle for
-/// `reduce_scatter` under `RsAlgo::Rh`. Power-of-two member counts only;
+/// `reduce_scatter` under `SchedKind::ReduceScatterRh`. Power-of-two member counts only;
 /// buffer lengths must divide by the group size.
 pub fn replay_rh_reduce_scatter(inputs: &[Vec<f32>], op: ReduceOp) -> Vec<Vec<f32>> {
     let g = inputs.len();
@@ -68,7 +68,7 @@ pub fn replay_rh_reduce_scatter(inputs: &[Vec<f32>], op: ReduceOp) -> Vec<Vec<f3
 /// Serial replay of the recursive halving/doubling all-reduce: pad with
 /// the operator identity, [`replay_rh_reduce_scatter`], concatenate the
 /// shards (the recursive-doubling all-gather is pure data movement),
-/// truncate. Bitwise oracle for `all_reduce` under `ArAlgo::Rhd`.
+/// truncate. Bitwise oracle for `all_reduce` under `SchedKind::AllReduceRhd`.
 pub fn replay_rhd_all_reduce(inputs: &[Vec<f32>], op: ReduceOp) -> Vec<f32> {
     let g = inputs.len();
     if g == 1 {
@@ -98,7 +98,7 @@ pub fn replay_rhd_all_reduce(inputs: &[Vec<f32>], op: ReduceOp) -> Vec<f32> {
 /// folds the accumulated buffer of `p + 2^s` when that position exists,
 /// as `own = op(own, incoming)`. The tree broadcast back down copies the
 /// root's buffer verbatim, so the root's accumulation is the result on
-/// every member. Bitwise oracle for `all_reduce` under `ArAlgo::Tree`;
+/// every member. Bitwise oracle for `all_reduce` under `SchedKind::AllReduceTree`;
 /// any group size.
 pub fn replay_tree_all_reduce(inputs: &[Vec<f32>], op: ReduceOp) -> Vec<f32> {
     let g = inputs.len();

@@ -39,109 +39,48 @@ use crate::group::ProcessGroup;
 use crate::ReduceOp;
 use std::fmt;
 
-/// The verifier-visible kind of a scheduled collective. Finer-grained than
-/// [`crate::CollectiveKind`]: algorithms that use disjoint wire lanes (ring
-/// vs. linear reduce-scatter, ring vs. recursive-doubling all-reduce) must
-/// not be considered matching, so each gets its own kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedKind {
-    /// Ring all-gather (`lane::AG`).
-    AllGather,
-    /// Ring reduce-scatter (`lane::RS`).
-    ReduceScatter,
-    /// Canonical-order direct-exchange reduce-scatter (`lane::LRS`).
-    ReduceScatterLinear,
-    /// Ring all-reduce = reduce-scatter + all-gather (`lane::RS` + `lane::AG`).
-    AllReduce,
-    /// Canonical-order all-reduce = linear reduce-scatter + ring all-gather
-    /// (`lane::LRS` + `lane::AG`).
-    AllReduceLinear,
-    /// Recursive-doubling all-reduce (`lane::RD`).
-    AllReduceRd,
-    /// Recursive-doubling all-gather (`lane::RDAG`).
-    AllGatherRd,
-    /// Recursive-halving reduce-scatter (`lane::RHD`).
-    ReduceScatterRh,
-    /// Recursive halving/doubling all-reduce = recursive-halving
-    /// reduce-scatter + recursive-doubling all-gather
-    /// (`lane::RHD` + `lane::RDAG`).
-    AllReduceRhd,
-    /// Binomial-tree all-reduce = tree reduce to the group root + tree
-    /// broadcast (`lane::TREE_UP` + `lane::TREE_DOWN`).
-    AllReduceTree,
-    /// Chain broadcast (`lane::BCAST`).
-    Broadcast,
-    /// Binomial-tree broadcast (`lane::TREE_DOWN`).
-    BroadcastTree,
-    /// Barrier (a 1-element ring all-reduce on `lane::RS`/`lane::AG`).
-    Barrier,
-}
+/// The collective vocabulary, defined in `axonn-trace` (the lowest crate
+/// that both the schedule plane and the trace plane depend on).
+pub use axonn_trace::SchedKind;
 
-impl SchedKind {
-    /// Short lowercase label used in diagnostics.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedKind::AllGather => "all_gather",
-            SchedKind::ReduceScatter => "reduce_scatter",
-            SchedKind::ReduceScatterLinear => "reduce_scatter_linear",
-            SchedKind::AllReduce => "all_reduce",
-            SchedKind::AllReduceLinear => "all_reduce_linear",
-            SchedKind::AllReduceRd => "all_reduce_rd",
-            SchedKind::AllGatherRd => "all_gather_rd",
-            SchedKind::ReduceScatterRh => "reduce_scatter_rh",
-            SchedKind::AllReduceRhd => "all_reduce_rhd",
-            SchedKind::AllReduceTree => "all_reduce_tree",
-            SchedKind::Broadcast => "broadcast",
-            SchedKind::BroadcastTree => "broadcast_tree",
-            SchedKind::Barrier => "barrier",
-        }
-    }
-
-    /// Human-readable lane label used by diagnostics: the wire lanes of
-    /// [`lanes`](Self::lanes), named in protocol order. The race and
-    /// slab-lifetime checkers name lanes so a rejected overlap window can
-    /// be traced to the wire protocol phase that still holds the buffer.
-    pub fn lane_label(&self) -> &'static str {
-        match self {
-            SchedKind::AllGather => "ag",
-            SchedKind::ReduceScatter => "rs",
-            SchedKind::ReduceScatterLinear => "lrs",
-            SchedKind::AllReduce | SchedKind::Barrier => "rs+ag",
-            SchedKind::AllReduceLinear => "lrs+ag",
-            SchedKind::AllReduceRd => "rd",
-            SchedKind::AllGatherRd => "rdag",
-            SchedKind::ReduceScatterRh => "rhd",
-            SchedKind::AllReduceRhd => "rhd+rdag",
-            SchedKind::AllReduceTree => "tree_up+tree_down",
-            SchedKind::Broadcast => "bcast",
-            SchedKind::BroadcastTree => "tree_down",
-        }
-    }
-
-    /// The wire lanes (see [`crate::comm::lane`]) this kind occupies, in
-    /// protocol order.
-    pub fn lanes(&self) -> &'static [u32] {
-        use crate::comm::lane;
-        match self {
-            SchedKind::AllGather => &[lane::AG],
-            SchedKind::ReduceScatter => &[lane::RS],
-            SchedKind::ReduceScatterLinear => &[lane::LRS],
-            SchedKind::AllReduce | SchedKind::Barrier => &[lane::RS, lane::AG],
-            SchedKind::AllReduceLinear => &[lane::LRS, lane::AG],
-            SchedKind::AllReduceRd => &[lane::RD],
-            SchedKind::AllGatherRd => &[lane::RDAG],
-            SchedKind::ReduceScatterRh => &[lane::RHD],
-            SchedKind::AllReduceRhd => &[lane::RHD, lane::RDAG],
-            SchedKind::AllReduceTree => &[lane::TREE_UP, lane::TREE_DOWN],
-            SchedKind::Broadcast => &[lane::BCAST],
-            SchedKind::BroadcastTree => &[lane::TREE_DOWN],
-        }
+/// Human-readable lane label used by diagnostics: the wire lanes of
+/// [`lanes`], named in protocol order. The race and slab-lifetime checkers
+/// name lanes so a rejected overlap window can be traced to the wire
+/// protocol phase that still holds the buffer.
+pub fn lane_label(kind: SchedKind) -> &'static str {
+    match kind {
+        SchedKind::AllGather => "ag",
+        SchedKind::ReduceScatter => "rs",
+        SchedKind::ReduceScatterLinear => "lrs",
+        SchedKind::AllReduce | SchedKind::Barrier => "rs+ag",
+        SchedKind::AllReduceLinear => "lrs+ag",
+        SchedKind::AllReduceRd => "rd",
+        SchedKind::AllGatherRd => "rdag",
+        SchedKind::ReduceScatterRh => "rhd",
+        SchedKind::AllReduceRhd => "rhd+rdag",
+        SchedKind::AllReduceTree => "tree_up+tree_down",
+        SchedKind::Broadcast => "bcast",
+        SchedKind::BroadcastTree => "tree_down",
     }
 }
 
-impl fmt::Display for SchedKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
+/// The wire lanes (see [`crate::comm::lane`]) `kind` occupies, in
+/// protocol order.
+pub fn lanes(kind: SchedKind) -> &'static [u32] {
+    use crate::comm::lane;
+    match kind {
+        SchedKind::AllGather => &[lane::AG],
+        SchedKind::ReduceScatter => &[lane::RS],
+        SchedKind::ReduceScatterLinear => &[lane::LRS],
+        SchedKind::AllReduce | SchedKind::Barrier => &[lane::RS, lane::AG],
+        SchedKind::AllReduceLinear => &[lane::LRS, lane::AG],
+        SchedKind::AllReduceRd => &[lane::RD],
+        SchedKind::AllGatherRd => &[lane::RDAG],
+        SchedKind::ReduceScatterRh => &[lane::RHD],
+        SchedKind::AllReduceRhd => &[lane::RHD, lane::RDAG],
+        SchedKind::AllReduceTree => &[lane::TREE_UP, lane::TREE_DOWN],
+        SchedKind::Broadcast => &[lane::BCAST],
+        SchedKind::BroadcastTree => &[lane::TREE_DOWN],
     }
 }
 

@@ -16,8 +16,7 @@ use axonn_collectives::reference::{
 };
 use axonn_collectives::sched::SchedEvent;
 use axonn_collectives::{
-    AgAlgo, AlgoPolicy, ArAlgo, BcastAlgo, Comm, CommError, CommWorld, ProcessGroup, ReduceOp,
-    RsAlgo, SchedKind,
+    AlgoPolicy, Comm, CommError, CommWorld, ProcessGroup, ReduceOp, SchedKind,
 };
 use proptest::prelude::*;
 use std::thread;
@@ -71,7 +70,7 @@ proptest! {
         let world = 1usize << world_log2;
         let op = if use_max == 1 { ReduceOp::Max } else { ReduceOp::Sum };
         let mut policy = AlgoPolicy::ring_only();
-        policy.force_ar = Some(ArAlgo::Rhd);
+        policy.force_ar = Some(SchedKind::AllReduceRhd);
         let comms = forced_world(world, policy);
         let results = spmd_world(comms, move |c| {
             let g = ProcessGroup::new((0..world).collect());
@@ -96,7 +95,7 @@ proptest! {
     ) {
         let op = if use_max == 1 { ReduceOp::Max } else { ReduceOp::Sum };
         let mut policy = AlgoPolicy::ring_only();
-        policy.force_ar = Some(ArAlgo::Tree);
+        policy.force_ar = Some(SchedKind::AllReduceTree);
         let comms = forced_world(world, policy);
         let results = spmd_world(comms, move |c| {
             let g = ProcessGroup::new((0..world).collect());
@@ -120,7 +119,7 @@ proptest! {
     ) {
         let world = 1usize << world_log2;
         let mut policy = AlgoPolicy::ring_only();
-        policy.force_rs = Some(RsAlgo::Rh);
+        policy.force_rs = Some(SchedKind::ReduceScatterRh);
         let comms = forced_world(world, policy);
         let results = spmd_world(comms, move |c| {
             let g = ProcessGroup::new((0..world).collect());
@@ -142,7 +141,7 @@ proptest! {
     ) {
         let world = 1usize << world_log2;
         let mut policy = AlgoPolicy::ring_only();
-        policy.force_ag = Some(AgAlgo::Rd);
+        policy.force_ag = Some(SchedKind::AllGatherRd);
         let comms = forced_world(world, policy);
         let results = spmd_world(comms, move |c| {
             let g = ProcessGroup::new((0..world).collect());
@@ -165,7 +164,7 @@ proptest! {
     ) {
         let root = root % world;
         let mut policy = AlgoPolicy::ring_only();
-        policy.force_bcast = Some(BcastAlgo::Tree);
+        policy.force_bcast = Some(SchedKind::BroadcastTree);
         let comms = forced_world(world, policy);
         let results = spmd_world(comms, move |c| {
             let g = ProcessGroup::new((0..world).collect());
@@ -191,7 +190,7 @@ proptest! {
     ) {
         let world = 1usize << world_log2;
         let mut policy = AlgoPolicy::ring_only();
-        policy.force_ar = Some(ArAlgo::Rhd);
+        policy.force_ar = Some(SchedKind::AllReduceRhd);
         let comms = forced_world(world, policy);
         let results = spmd_world(comms, move |c| {
             let g = ProcessGroup::new((0..world).collect());
@@ -210,7 +209,7 @@ proptest! {
 #[test]
 fn indivisible_rh_reduce_scatter_is_a_typed_error() {
     let mut policy = AlgoPolicy::ring_only();
-    policy.force_rs = Some(RsAlgo::Rh);
+    policy.force_rs = Some(SchedKind::ReduceScatterRh);
     let comms = forced_world(4, policy);
     let errs = spmd_world(comms, |c| {
         let g = ProcessGroup::new(vec![0, 1, 2, 3]);
@@ -299,9 +298,10 @@ fn default_policy_records_selected_kinds_across_thresholds() {
 /// builder override produces — the A/B lever and the builder agree.
 #[test]
 fn parsed_ring_spec_matches_ring_only() {
-    assert_eq!(AlgoPolicy::parse("ring"), AlgoPolicy::ring_only());
-    let p = AlgoPolicy::parse("all_reduce=rhd,broadcast=tree");
-    assert_eq!(p.force_ar, Some(ArAlgo::Rhd));
-    assert_eq!(p.force_bcast, Some(BcastAlgo::Tree));
+    assert_eq!(AlgoPolicy::parse("ring").0, AlgoPolicy::ring_only());
+    let (p, ignored) = AlgoPolicy::parse("all_reduce=rhd,broadcast=tree");
+    assert!(ignored.is_empty(), "{ignored:?}");
+    assert_eq!(p.force_ar, Some(SchedKind::AllReduceRhd));
+    assert_eq!(p.force_bcast, Some(SchedKind::BroadcastTree));
     assert_eq!(p.force_rs, None);
 }

@@ -1,11 +1,11 @@
 //! Tests for the two Section VI-A training-regime features: bf16 mixed
 //! precision and activation checkpointing.
 
-use axonn_collectives::RingCostModel;
+use axonn_collectives::{CommWorld, RingCostModel};
 use axonn_core::{
     Activation, GridTopology, NetConfig, Network4d, OverlapConfig, Precision, SerialMlp,
 };
-use axonn_exec::{run_spmd, run_spmd_timed};
+use axonn_exec::{run_spmd, run_spmd_on};
 use axonn_tensor::Matrix;
 use std::sync::Arc;
 
@@ -66,7 +66,7 @@ fn checkpointing_costs_extra_virtual_time() {
     let cost = Arc::new(RingCostModel::new(1e9, 1e8));
     let time_of = |ckpt: bool| -> f64 {
         let cost = cost.clone();
-        let times = run_spmd_timed(8, cost, move |comm| {
+        let times = run_spmd_on(CommWorld::create_timed(8, cost), move |comm| {
             let grid = GridTopology::new(2, 1, 4, 1, comm.rank());
             let mut net = Network4d::with_config(
                 comm,

@@ -37,16 +37,6 @@ where
     launch(CommWorld::create(world_size), body)
 }
 
-/// Run `body` on `world_size` ranks with virtual clocks advanced by
-/// `cost`. Returns the per-rank results in rank order.
-pub fn run_spmd_timed<F, T>(world_size: usize, cost: Arc<dyn CostModel>, body: F) -> Vec<T>
-where
-    F: Fn(Comm) -> T + Send + Sync + 'static,
-    T: Send + 'static,
-{
-    launch(CommWorld::create_timed(world_size, cost), body)
-}
-
 /// Run `body` on a pre-built world — the escape hatch for callers that
 /// configure the world through [`CommWorld::builder`] (cost model, fault
 /// plan, live-metrics registry) and still want the launcher's poisoning,

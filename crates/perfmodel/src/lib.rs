@@ -8,16 +8,11 @@
 //! the paper validates exactly this ranking against observed batch times;
 //! our `fig2_perfmodel` bench does the same against the simulator.
 
-pub mod algo;
 pub mod compute;
 pub mod grid;
 pub mod memory;
 pub mod model;
 
-pub use algo::{
-    ar_tree_ring_crossover_bytes, best_all_reduce, best_reduce_scatter,
-    layer_comm_time_with_latency, AlphaBeta, ArCurve, RsCurve,
-};
 pub use compute::{ComputeBreakdown, ComputeModel};
 pub use grid::Grid4d;
 pub use memory::{estimate_memory, estimate_memory_replicated_w, fits, MemoryEstimate};

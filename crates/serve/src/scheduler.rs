@@ -44,6 +44,12 @@ pub enum ServeError {
     },
     /// The request queue is at capacity; retry later.
     Overloaded { queue_depth: usize },
+    /// The prompt holds a token id outside the model vocabulary.
+    InvalidToken {
+        position: usize,
+        token: usize,
+        vocab: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -62,6 +68,14 @@ impl std::fmt::Display for ServeError {
             ServeError::Overloaded { queue_depth } => {
                 write!(f, "server overloaded: queue at capacity ({queue_depth})")
             }
+            ServeError::InvalidToken {
+                position,
+                token,
+                vocab,
+            } => write!(
+                f,
+                "prompt token {token} at position {position} is outside the vocabulary ({vocab})"
+            ),
         }
     }
 }
@@ -217,6 +231,15 @@ impl ServeEngine {
                 prompt_len: req.prompt.len(),
                 max_new_tokens: req.max_new_tokens,
                 seq_len: self.model.cfg.seq_len,
+            });
+        }
+        let vocab = self.model.cfg.vocab;
+        if let Some((position, &token)) = req.prompt.iter().enumerate().find(|(_, &t)| t >= vocab) {
+            self.metrics.rejected.inc();
+            return Err(ServeError::InvalidToken {
+                position,
+                token,
+                vocab,
             });
         }
         if self.queue.len() >= self.cfg.max_queue {
@@ -519,6 +542,38 @@ mod tests {
                 seq_len: 12
             })
         );
+    }
+
+    #[test]
+    fn out_of_vocab_prompt_is_rejected_and_valid_streams_complete() {
+        let model = toy_model();
+        let registry = LiveRegistry::new_enabled(true);
+        let mut e = ServeEngine::new(model.clone(), ServeConfig::default(), &registry);
+        let good = e.submit(req(&[1, 4, 2], 5)).unwrap();
+        assert_eq!(
+            e.submit(req(&[3, 1_000_000], 2)),
+            Err(ServeError::InvalidToken {
+                position: 1,
+                token: 1_000_000,
+                vocab: 12
+            })
+        );
+        assert_eq!(
+            e.submit(req(&[12], 2)),
+            Err(ServeError::InvalidToken {
+                position: 0,
+                token: 12,
+                vocab: 12
+            })
+        );
+        assert_eq!(registry.snapshot().counters["serve.requests.rejected"], 2);
+        e.run_until_idle(100);
+        let done = e.drain_completions();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].id, good);
+        assert_eq!(done[0].reason, FinishReason::Completed);
+        let mut oracle = Gpt::new(model.cfg.clone());
+        assert_eq!(done[0].tokens, oracle.greedy_continuation(&[1, 4, 2], 5));
     }
 
     #[test]

@@ -19,9 +19,10 @@
 
 use crate::options::SimOptions;
 use axonn_cluster::{effective_bandwidth, BandwidthDb, GemmMode, Machine};
+use axonn_collectives::{steps_volume, SchedKind};
 use axonn_gpt::GptConfig;
 use axonn_perfmodel::Grid4d;
-use axonn_trace::{CollOp, EventDetail, Stream, TraceSink};
+use axonn_trace::{EventDetail, Stream, TraceSink};
 use serde::Serialize;
 
 /// Simulated timing of one training iteration.
@@ -87,14 +88,6 @@ fn chan_stream(chan: usize) -> Stream {
     }
 }
 
-fn coll_op(kind: Coll) -> CollOp {
-    match kind {
-        Coll::AllGather => CollOp::AllGather,
-        Coll::ReduceScatter => CollOp::ReduceScatter,
-        Coll::AllReduce => CollOp::AllReduce,
-    }
-}
-
 fn gemm_label(mode: GemmMode) -> &'static str {
     match mode {
         GemmMode::NN => "NN",
@@ -106,7 +99,7 @@ fn gemm_label(mode: GemmMode) -> &'static str {
 /// A simulated asynchronous collective awaiting its wait point.
 struct AsyncTicket {
     done: f64,
-    op: CollOp,
+    op: SchedKind,
     seq: u64,
     /// False for size-1 groups, which move no data and leave no events.
     real: bool,
@@ -129,28 +122,17 @@ struct Timeline<'a> {
     next_seq: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Coll {
-    AllGather,
-    ReduceScatter,
-    AllReduce,
-}
-
 impl<'a> Timeline<'a> {
     /// Duration of a ring collective over the level-`level` groups moving
     /// `bytes` (full-buffer convention, matching Eqs. 1–5).
-    fn coll_duration(&mut self, level: usize, kind: Coll, bytes: f64) -> f64 {
+    fn coll_duration(&mut self, level: usize, kind: SchedKind, bytes: f64) -> f64 {
         let size = self.grid.dims()[level];
         if size <= 1 {
             return 0.0;
         }
         let prefix = self.grid.prefix(level);
         let beta = effective_bandwidth(self.machine, self.db, prefix, size);
-        let g = size as f64;
-        let (steps, volume) = match kind {
-            Coll::AllGather | Coll::ReduceScatter => (g - 1.0, (g - 1.0) / g * bytes),
-            Coll::AllReduce => (2.0 * (g - 1.0), 2.0 * (g - 1.0) / g * bytes),
-        };
+        let (steps, volume) = steps_volume(kind, size, bytes, 1);
         let alpha = if prefix * size <= self.machine.gpus_per_node {
             self.opts.fidelity.alpha_intra
         } else {
@@ -167,7 +149,7 @@ impl<'a> Timeline<'a> {
 
     /// Blocking collective: compute stream waits for the channel and the
     /// operation.
-    fn blocking_coll(&mut self, chan: usize, level: usize, kind: Coll, bytes: f64) {
+    fn blocking_coll(&mut self, chan: usize, level: usize, kind: SchedKind, bytes: f64) {
         let size = self.grid.dims()[level];
         let entry = self.t_comp;
         let dur = self.coll_duration(level, kind, bytes);
@@ -185,7 +167,7 @@ impl<'a> Timeline<'a> {
                     entry,
                     done,
                     EventDetail::Collective {
-                        op: coll_op(kind),
+                        op: kind,
                         group_size: size,
                         bytes: bytes as u64,
                         seq,
@@ -203,17 +185,16 @@ impl<'a> Timeline<'a> {
         &mut self,
         chan: usize,
         level: usize,
-        kind: Coll,
+        op: SchedKind,
         bytes: f64,
         issue: f64,
     ) -> AsyncTicket {
         let size = self.grid.dims()[level];
-        let dur = self.coll_duration(level, kind, bytes);
+        let dur = self.coll_duration(level, op, bytes);
         self.comm_sum += dur;
         let start = issue.max(self.chan[chan]);
         let done = start + dur;
         self.chan[chan] = done;
-        let op = coll_op(kind);
         let seq = self.bump_seq();
         let real = size > 1;
         if real {
@@ -487,7 +468,7 @@ fn simulate_batch_with(
             if let Some(s) = tl.sink {
                 s.set_layer(Some(i));
             }
-            let ticket = tl.async_coll(CHAN_AG, 2, Coll::AllGather, lk * ln * 2.0, 0.0);
+            let ticket = tl.async_coll(CHAN_AG, 2, SchedKind::AllGather, lk * ln * 2.0, 0.0);
             if let Some(s) = tl.sink {
                 s.set_layer(None);
             }
@@ -511,13 +492,13 @@ fn simulate_batch_with(
         if opts.overlap_ag {
             tl.wait_async(&ag_prefetched[i]);
         } else {
-            tl.blocking_coll(CHAN_AG, 2, Coll::AllGather, lk * ln * 2.0);
+            tl.blocking_coll(CHAN_AG, 2, SchedKind::AllGather, lk * ln * 2.0);
         }
         // Forward GEMM + auxiliary work.
         tl.gemm(lm, lk, ln, GemmMode::NN, l.shape.k.min(l.shape.n));
         tl.aux_compute(aux_per_point);
         // Output all-reduce over the k-dividing groups (Eq. 3).
-        tl.blocking_coll(CHAN_AR, kl, Coll::AllReduce, lm * ln * 2.0);
+        tl.blocking_coll(CHAN_AR, kl, SchedKind::AllReduce, lm * ln * 2.0);
         if let Some(s) = tl.sink {
             s.close_span(span, tl.t_comp);
             s.set_layer(None);
@@ -544,7 +525,7 @@ fn simulate_batch_with(
         // Recompute the forward (checkpointing): GEMM + output all-reduce.
         tl.gemm(lm, lk, ln, GemmMode::NN, gref);
         tl.aux_compute(aux_per_point);
-        tl.blocking_coll(CHAN_AR, kl, Coll::AllReduce, lm * ln * 2.0);
+        tl.blocking_coll(CHAN_AR, kl, SchedKind::AllReduce, lm * ln * 2.0);
 
         // Input-gradient GEMM (line 11) and its all-reduce (line 12,
         // over the n-dividing groups — Eq. 4).
@@ -553,9 +534,9 @@ fn simulate_batch_with(
         let ar_bytes = lm * lk * 2.0;
         let ar_ticket = if opts.overlap_ar {
             let issue = tl.t_comp;
-            Some(tl.async_coll(CHAN_AR, nl, Coll::AllReduce, ar_bytes, issue))
+            Some(tl.async_coll(CHAN_AR, nl, SchedKind::AllReduce, ar_bytes, issue))
         } else {
-            tl.blocking_coll(CHAN_AR, nl, Coll::AllReduce, ar_bytes);
+            tl.blocking_coll(CHAN_AR, nl, SchedKind::AllReduce, ar_bytes);
             None
         };
 
@@ -571,9 +552,9 @@ fn simulate_batch_with(
         let rs_bytes = lk * ln * 2.0;
         if opts.overlap_rs {
             let issue = tl.t_comp;
-            pending_rs.push(tl.async_coll(CHAN_RS, 2, Coll::ReduceScatter, rs_bytes, issue));
+            pending_rs.push(tl.async_coll(CHAN_RS, 2, SchedKind::ReduceScatter, rs_bytes, issue));
         } else {
-            tl.blocking_coll(CHAN_RS, 2, Coll::ReduceScatter, rs_bytes);
+            tl.blocking_coll(CHAN_RS, 2, SchedKind::ReduceScatter, rs_bytes);
         }
         if let Some(s) = tl.sink {
             s.close_span(span, tl.t_comp);
@@ -590,7 +571,7 @@ fn simulate_batch_with(
         .iter()
         .map(|l| l.shape.weight_elems() as f64 * 2.0 / grid.tensor_parallel() as f64)
         .sum();
-    tl.blocking_coll(CHAN_AR, 3, Coll::AllReduce, grad_bytes);
+    tl.blocking_coll(CHAN_AR, 3, SchedKind::AllReduce, grad_bytes);
 
     let total = tl.t_comp;
     BatchBreakdown {

@@ -11,7 +11,7 @@
 //! the verifier certify the *same* decode communication pattern.
 
 use crate::mlp::Mirror;
-use axonn_collectives::{CollectiveKind, CostModel};
+use axonn_collectives::{CostModel, SchedKind};
 use axonn_trace::RankTrace;
 
 /// The tensor-parallel decode configuration being mirrored.
@@ -51,10 +51,10 @@ pub fn simulate_tp_decode(cfg: &TpDecodeConfig, cost: &dyn CostModel) -> RankTra
             m.sink.set_layer(Some(li));
             m.gemm("NN", 1.0, d, 3.0 * lsec); // QKV, local heads only
             m.gemm("NN", 1.0, lsec, d); // output-projection rows
-            m.blocking(CollectiveKind::AllReduce, cfg.tp, d * 4.0); // attn partials
+            m.blocking(SchedKind::AllReduce, cfg.tp, d * 4.0); // attn partials
             m.gemm("NN", 1.0, d, hidden_local); // fc1 columns
             m.gemm("NN", 1.0, hidden_local, d); // fc2 rows
-            m.blocking(CollectiveKind::AllReduce, cfg.tp, d * 4.0); // MLP partials
+            m.blocking(SchedKind::AllReduce, cfg.tp, d * 4.0); // MLP partials
             m.sink.set_layer(None);
         }
         m.gemm("NN", 1.0, d, cfg.vocab as f64); // replicated LM head

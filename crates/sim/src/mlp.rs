@@ -16,9 +16,9 @@
 //! collectives occupy the synchronous channel, asynchronous ones the
 //! worker channel; waits record the exposed gap even when it is zero.
 
-use axonn_collectives::{AgAlgo, AlgoPolicy, ArAlgo, BcastAlgo, CollectiveKind, CostModel, RsAlgo};
+use axonn_collectives::{AlgoPolicy, CostModel, SchedKind};
 use axonn_tensor::{pack_geometry, MatMode};
-use axonn_trace::{CollOp, EventDetail, RankTrace, Stream, TraceSink};
+use axonn_trace::{EventDetail, RankTrace, Stream, TraceSink};
 use std::sync::Arc;
 
 /// The 4D-parallel MLP configuration being mirrored — grid, layer sizes,
@@ -76,25 +76,9 @@ impl MlpStepConfig {
     }
 }
 
-fn coll_op(kind: CollectiveKind) -> CollOp {
-    match kind {
-        CollectiveKind::AllGather => CollOp::AllGather,
-        CollectiveKind::ReduceScatter => CollOp::ReduceScatter,
-        CollectiveKind::AllReduce => CollOp::AllReduce,
-        CollectiveKind::AllReduceRecursiveDoubling => CollOp::AllReduceRd,
-        CollectiveKind::Broadcast => CollOp::Broadcast,
-        CollectiveKind::AllGatherRecursiveDoubling => CollOp::AllGatherRd,
-        CollectiveKind::ReduceScatterRecursiveHalving => CollOp::ReduceScatterRh,
-        CollectiveKind::AllReduceRecursiveHalvingDoubling => CollOp::AllReduceRhd,
-        CollectiveKind::AllReduceTree => CollOp::AllReduceTree,
-        CollectiveKind::BroadcastTree => CollOp::BroadcastTree,
-        CollectiveKind::Barrier | CollectiveKind::PointToPoint => CollOp::Barrier,
-    }
-}
-
 /// An issued asynchronous collective awaiting its wait point.
 struct Ticket {
-    op: CollOp,
+    op: SchedKind,
     seq: u64,
     done: f64,
     real: bool,
@@ -141,34 +125,17 @@ impl<'a> Mirror<'a> {
         s
     }
 
-    /// Remap a requested collective to the algorithm the exec plane's
-    /// [`AlgoPolicy`] would select for this payload. All-gather `bytes`
-    /// are the *gathered* buffer, so the contributed shard is
-    /// `bytes / 4 / group`; everything else contributes the full buffer.
-    fn effective(&self, kind: CollectiveKind, group_size: usize, bytes: f64) -> CollectiveKind {
+    /// The algorithm the exec plane's [`AlgoPolicy`] runs for a request
+    /// of `kind`. All-gather `bytes` are the *gathered* buffer, so the
+    /// contributed shard is `bytes / 4 / group`; everything else
+    /// contributes the full buffer.
+    fn effective(&self, kind: SchedKind, group_size: usize, bytes: f64) -> SchedKind {
         let elems = (bytes / 4.0) as usize;
-        match kind {
-            CollectiveKind::AllReduce => match self.algo.all_reduce(elems, group_size) {
-                ArAlgo::Ring => CollectiveKind::AllReduce,
-                ArAlgo::Rhd => CollectiveKind::AllReduceRecursiveHalvingDoubling,
-                ArAlgo::Tree => CollectiveKind::AllReduceTree,
-            },
-            CollectiveKind::ReduceScatter => match self.algo.reduce_scatter(elems, group_size) {
-                RsAlgo::Ring => CollectiveKind::ReduceScatter,
-                RsAlgo::Rh => CollectiveKind::ReduceScatterRecursiveHalving,
-            },
-            CollectiveKind::AllGather => {
-                match self.algo.all_gather(elems / group_size.max(1), group_size) {
-                    AgAlgo::Ring => CollectiveKind::AllGather,
-                    AgAlgo::Rd => CollectiveKind::AllGatherRecursiveDoubling,
-                }
-            }
-            CollectiveKind::Broadcast => match self.algo.broadcast(elems, group_size) {
-                BcastAlgo::Chain => CollectiveKind::Broadcast,
-                BcastAlgo::Tree => CollectiveKind::BroadcastTree,
-            },
-            other => other,
-        }
+        let elems = match kind {
+            SchedKind::AllGather => elems / group_size.max(1),
+            _ => elems,
+        };
+        self.algo.select(kind, elems, group_size)
     }
 
     /// Record one GEMM span. `(gm, gk, gn)` are the logical GEMM dims
@@ -201,7 +168,7 @@ impl<'a> Mirror<'a> {
 
     /// Blocking collective: in the symmetric case the group sync is a
     /// no-op, the op then occupies the synchronous channel.
-    pub(crate) fn blocking(&mut self, kind: CollectiveKind, group_size: usize, bytes: f64) {
+    pub(crate) fn blocking(&mut self, kind: SchedKind, group_size: usize, bytes: f64) {
         if group_size <= 1 {
             return;
         }
@@ -218,7 +185,7 @@ impl<'a> Mirror<'a> {
             entry,
             done,
             EventDetail::Collective {
-                op: coll_op(kind),
+                op: kind,
                 group_size,
                 bytes: bytes as u64,
                 seq,
@@ -229,18 +196,9 @@ impl<'a> Mirror<'a> {
     }
 
     /// Issue an asynchronous collective on the worker channel.
-    fn issue(&mut self, kind: CollectiveKind, group_size: usize, bytes: f64) -> Ticket {
-        let kind = self.effective(kind, group_size, bytes);
-        self.issue_raw(kind, group_size, bytes)
-    }
-
-    /// Issue with the kind taken literally, bypassing algorithm
-    /// selection — mirrors the exec plane's canonical-order linear
-    /// reduce-scatter, which is exempt (its fold order is the gradient
-    /// bucketizer's bit-identity contract).
-    fn issue_raw(&mut self, kind: CollectiveKind, group_size: usize, bytes: f64) -> Ticket {
+    fn issue(&mut self, kind: SchedKind, group_size: usize, bytes: f64) -> Ticket {
+        let op = self.effective(kind, group_size, bytes);
         let issue_clock = self.now;
-        let op = coll_op(kind);
         let seq = self.bump_seq();
         if group_size <= 1 {
             // Exec skips both the issue marker and the execution span;
@@ -262,7 +220,7 @@ impl<'a> Mirror<'a> {
                 seq,
             },
         );
-        let op_seconds = self.cost.collective_seconds(kind, group_size, bytes);
+        let op_seconds = self.cost.collective_seconds(op, group_size, bytes);
         let begin = issue_clock.max(self.comm_free_async);
         let done = begin + op_seconds;
         self.comm_free_async = done;
@@ -327,7 +285,7 @@ pub fn simulate_mlp_step(cfg: &MlpStepConfig, cost: &dyn CostModel) -> RankTrace
             let (_, k, n) = cfg.shape(i);
             m.sink.set_layer(Some(i));
             // iall_gather bytes: the gathered buffer (shard · gz · 4).
-            let t = m.issue(CollectiveKind::AllGather, cfg.gz, k * n * 4.0);
+            let t = m.issue(SchedKind::AllGather, cfg.gz, k * n * 4.0);
             m.sink.set_layer(None);
             prefetched.push(t);
         }
@@ -337,11 +295,11 @@ pub fn simulate_mlp_step(cfg: &MlpStepConfig, cost: &dyn CostModel) -> RankTrace
         let (lm, lk, ln) = cfg.shape(i);
         match prefetch {
             Some(t) => m.wait(t),
-            None => m.blocking(CollectiveKind::AllGather, cfg.gz, lk * ln * 4.0),
+            None => m.blocking(SchedKind::AllGather, cfg.gz, lk * ln * 4.0),
         }
         m.gemm("NN", lm, lk, ln);
         m.blocking(
-            CollectiveKind::AllReduce,
+            SchedKind::AllReduce,
             cfg.row_parts(transposed),
             lm * ln * 4.0,
         );
@@ -358,7 +316,7 @@ pub fn simulate_mlp_step(cfg: &MlpStepConfig, cost: &dyn CostModel) -> RankTrace
     }
 
     // ---- global loss all-reduce (one f32 over the world group) ----
-    m.blocking(CollectiveKind::AllReduce, cfg.world(), 4.0);
+    m.blocking(SchedKind::AllReduce, cfg.world(), 4.0);
 
     // ---- backward, reverse order ----
     let mut pending: Vec<Ticket> = Vec::with_capacity(n_layers);
@@ -373,7 +331,7 @@ pub fn simulate_mlp_step(cfg: &MlpStepConfig, cost: &dyn CostModel) -> RankTrace
             m.sink.set_layer(Some(prev));
             m.gemm("NN", pm, pk, pn);
             m.blocking(
-                CollectiveKind::AllReduce,
+                SchedKind::AllReduce,
                 cfg.row_parts(prev_transposed),
                 pm * pn * 4.0,
             );
@@ -393,9 +351,9 @@ pub fn simulate_mlp_step(cfg: &MlpStepConfig, cost: &dyn CostModel) -> RankTrace
         // Line 12: dI all-reduce over the col group (async under OAR).
         let col = cfg.col_parts(transposed);
         let ar = if cfg.oar && col > 1 {
-            Some(m.issue(CollectiveKind::AllReduce, col, lm * lk * 4.0))
+            Some(m.issue(SchedKind::AllReduce, col, lm * lk * 4.0))
         } else {
-            m.blocking(CollectiveKind::AllReduce, col, lm * lk * 4.0);
+            m.blocking(SchedKind::AllReduce, col, lm * lk * 4.0);
             None
         };
 
@@ -445,10 +403,10 @@ pub fn simulate_mlp_step(cfg: &MlpStepConfig, cost: &dyn CostModel) -> RankTrace
         // Line 14: dŴ reduce-scatter over Z (async under ORS).
         let rs_bytes = lk * ln * 4.0;
         if cfg.ors {
-            let t = m.issue(CollectiveKind::ReduceScatter, cfg.gz, rs_bytes);
+            let t = m.issue(SchedKind::ReduceScatter, cfg.gz, rs_bytes);
             pending.push(t);
         } else {
-            m.blocking(CollectiveKind::ReduceScatter, cfg.gz, rs_bytes);
+            m.blocking(SchedKind::ReduceScatter, cfg.gz, rs_bytes);
         }
         m.sink.close_span(span, m.now);
         m.sink.set_layer(None);
@@ -472,9 +430,9 @@ pub fn simulate_mlp_step(cfg: &MlpStepConfig, cost: &dyn CostModel) -> RankTrace
         }
         let padded = fill.div_ceil(cfg.gd) * cfg.gd;
         if cfg.gd > 1 {
-            // Linear (canonical-order) reduce-scatter: exempt from
-            // algorithm selection, like `ireduce_scatter_linear_pooled`.
-            let t = m.issue_raw(CollectiveKind::ReduceScatter, cfg.gd, (padded * 4) as f64);
+            // Canonical-order reduce-scatter, like
+            // `ireduce_scatter_linear_pooled`.
+            let t = m.issue(SchedKind::ReduceScatterLinear, cfg.gd, (padded * 4) as f64);
             rs_tickets.push((t, padded));
         }
         *fill = 0;
@@ -503,7 +461,7 @@ pub fn simulate_mlp_step(cfg: &MlpStepConfig, cost: &dyn CostModel) -> RankTrace
     let mut gathers: Vec<Ticket> = Vec::with_capacity(rs_tickets.len());
     for (t, padded) in &rs_tickets {
         m.wait(t);
-        gathers.push(m.issue(CollectiveKind::AllGather, cfg.gd, (*padded * 4) as f64));
+        gathers.push(m.issue(SchedKind::AllGather, cfg.gd, (*padded * 4) as f64));
     }
     for t in &gathers {
         m.wait(t);

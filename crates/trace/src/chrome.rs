@@ -153,7 +153,7 @@ pub fn chrome_trace_json(traces: &[RankTrace]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CollOp;
+    use crate::event::SchedKind;
     use crate::sink::TraceSink;
 
     #[test]
@@ -174,7 +174,7 @@ mod tests {
             Stream::Compute,
             1e-3,
             EventDetail::Issue {
-                op: CollOp::AllGather,
+                op: SchedKind::AllGather,
                 group_size: 2,
                 bytes: 256,
                 seq: 0,
@@ -185,7 +185,7 @@ mod tests {
             1e-3,
             2e-3,
             EventDetail::Collective {
-                op: CollOp::AllGather,
+                op: SchedKind::AllGather,
                 group_size: 2,
                 bytes: 256,
                 seq: 0,

@@ -45,76 +45,111 @@ impl Stream {
     }
 }
 
-/// Collective operation, as named in the paper's Eqs. 1–5.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum CollOp {
+/// Which collective ran, and with which algorithm: the one collective
+/// vocabulary of the workspace. The schedule plane
+/// (`axonn_collectives::sched`), trace events, live metrics and every cost
+/// model name collectives by this enum, and the single α–β pricing of each
+/// kind is `axonn_collectives::cost::steps_volume`.
+///
+/// Each algorithm gets its own kind: algorithms use disjoint wire lanes
+/// (ring vs. linear reduce-scatter, ring vs. halving/doubling all-reduce),
+/// so the verifier must never consider two of them matching, and a trace
+/// names what actually ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SchedKind {
+    /// Ring all-gather.
     AllGather,
+    /// Ring reduce-scatter.
     ReduceScatter,
+    /// Canonical-order direct-exchange reduce-scatter (layout-independent
+    /// fold order; the gradient bucketizer's primitive).
+    ReduceScatterLinear,
+    /// Ring all-reduce = reduce-scatter + all-gather (Rabenseifner).
     AllReduce,
-    /// The small-message recursive-doubling all-reduce specialization.
+    /// Canonical-order all-reduce = linear reduce-scatter + ring
+    /// all-gather.
+    AllReduceLinear,
+    /// Whole-buffer recursive-doubling all-reduce. Priced for the
+    /// ring-vs-recursive-doubling ablation; the runtime no longer issues
+    /// it (halving/doubling and the tree cover its regime).
     AllReduceRd,
-    Broadcast,
-    Barrier,
-    /// Recursive-doubling all-gather (medium messages on pow2 groups).
+    /// Recursive-doubling all-gather (power-of-two groups).
     AllGatherRd,
-    /// Recursive-halving reduce-scatter (medium messages on pow2 groups).
+    /// Recursive-halving reduce-scatter (power-of-two groups).
     ReduceScatterRh,
-    /// Recursive halving/doubling all-reduce (Rabenseifner, pow2 groups).
+    /// Recursive halving/doubling all-reduce (power-of-two groups).
     AllReduceRhd,
-    /// Binomial-tree all-reduce (latency-bound small messages, any group).
+    /// Binomial-tree all-reduce: tree reduce to the group root + tree
+    /// broadcast (any group size).
     AllReduceTree,
-    /// Binomial-tree broadcast (latency-bound small messages, any group).
+    /// Pipelined chain broadcast.
+    Broadcast,
+    /// Binomial-tree broadcast (any group size).
     BroadcastTree,
+    /// Barrier (a 1-element ring all-reduce).
+    Barrier,
 }
 
-impl CollOp {
-    /// Every collective op, in [`CollOp::index`] order. Lets callers
-    /// pre-register one metric handle per op without allocation.
-    pub const ALL: [CollOp; 11] = [
-        CollOp::AllGather,
-        CollOp::ReduceScatter,
-        CollOp::AllReduce,
-        CollOp::AllReduceRd,
-        CollOp::Broadcast,
-        CollOp::Barrier,
-        CollOp::AllGatherRd,
-        CollOp::ReduceScatterRh,
-        CollOp::AllReduceRhd,
-        CollOp::AllReduceTree,
-        CollOp::BroadcastTree,
+impl SchedKind {
+    /// Every kind, in [`SchedKind::index`] order. Lets callers
+    /// pre-register one metric handle per kind without allocation.
+    pub const ALL: [SchedKind; 13] = [
+        SchedKind::AllGather,
+        SchedKind::ReduceScatter,
+        SchedKind::ReduceScatterLinear,
+        SchedKind::AllReduce,
+        SchedKind::AllReduceLinear,
+        SchedKind::AllReduceRd,
+        SchedKind::AllGatherRd,
+        SchedKind::ReduceScatterRh,
+        SchedKind::AllReduceRhd,
+        SchedKind::AllReduceTree,
+        SchedKind::Broadcast,
+        SchedKind::BroadcastTree,
+        SchedKind::Barrier,
     ];
 
-    pub fn name(self) -> &'static str {
+    /// Short lowercase label: trace op names, metric names, diagnostics.
+    pub fn label(self) -> &'static str {
         match self {
-            CollOp::AllGather => "all_gather",
-            CollOp::ReduceScatter => "reduce_scatter",
-            CollOp::AllReduce => "all_reduce",
-            CollOp::AllReduceRd => "all_reduce_rd",
-            CollOp::Broadcast => "broadcast",
-            CollOp::Barrier => "barrier",
-            CollOp::AllGatherRd => "all_gather_rd",
-            CollOp::ReduceScatterRh => "reduce_scatter_rh",
-            CollOp::AllReduceRhd => "all_reduce_rhd",
-            CollOp::AllReduceTree => "all_reduce_tree",
-            CollOp::BroadcastTree => "broadcast_tree",
+            SchedKind::AllGather => "all_gather",
+            SchedKind::ReduceScatter => "reduce_scatter",
+            SchedKind::ReduceScatterLinear => "reduce_scatter_linear",
+            SchedKind::AllReduce => "all_reduce",
+            SchedKind::AllReduceLinear => "all_reduce_linear",
+            SchedKind::AllReduceRd => "all_reduce_rd",
+            SchedKind::AllGatherRd => "all_gather_rd",
+            SchedKind::ReduceScatterRh => "reduce_scatter_rh",
+            SchedKind::AllReduceRhd => "all_reduce_rhd",
+            SchedKind::AllReduceTree => "all_reduce_tree",
+            SchedKind::Broadcast => "broadcast",
+            SchedKind::BroadcastTree => "broadcast_tree",
+            SchedKind::Barrier => "barrier",
         }
     }
 
-    /// Dense index into [`CollOp::ALL`].
+    /// Dense index into [`SchedKind::ALL`].
     pub fn index(self) -> usize {
+        self as usize
+    }
+
+    /// True when the algorithm can run on a group of `g` ranks: the
+    /// halving/doubling kinds need a power-of-two group, everything else
+    /// runs on any size.
+    pub fn legal(self, g: usize) -> bool {
         match self {
-            CollOp::AllGather => 0,
-            CollOp::ReduceScatter => 1,
-            CollOp::AllReduce => 2,
-            CollOp::AllReduceRd => 3,
-            CollOp::Broadcast => 4,
-            CollOp::Barrier => 5,
-            CollOp::AllGatherRd => 6,
-            CollOp::ReduceScatterRh => 7,
-            CollOp::AllReduceRhd => 8,
-            CollOp::AllReduceTree => 9,
-            CollOp::BroadcastTree => 10,
+            SchedKind::AllReduceRd
+            | SchedKind::AllGatherRd
+            | SchedKind::ReduceScatterRh
+            | SchedKind::AllReduceRhd => g.is_power_of_two(),
+            _ => true,
         }
+    }
+}
+
+impl std::fmt::Display for SchedKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -172,7 +207,7 @@ pub enum EventDetail {
     /// completion), a comm stream for asynchronous execution.
     /// `op_seconds` is the modelled cost of the operation itself.
     Collective {
-        op: CollOp,
+        op: SchedKind,
         group_size: usize,
         bytes: u64,
         seq: u64,
@@ -182,14 +217,14 @@ pub enum EventDetail {
     /// Instantaneous marker on the compute stream: an asynchronous
     /// collective was handed to the communication worker.
     Issue {
-        op: CollOp,
+        op: SchedKind,
         group_size: usize,
         bytes: u64,
         seq: u64,
     },
     /// The compute stream blocked waiting on an asynchronous handle.
     /// A zero-length wait means the collective was fully hidden.
-    OverlapWait { op: CollOp, seq: u64 },
+    OverlapWait { op: SchedKind, seq: u64 },
     /// One layer's forward pass (outer span on the compute stream).
     LayerFwd { layer: usize },
     /// One layer's backward pass.
@@ -234,13 +269,13 @@ impl EventDetail {
             EventDetail::Gemm { .. } => "gemm".to_string(),
             EventDetail::Collective { op, blocking, .. } => {
                 if *blocking {
-                    format!("collective:{}", op.name())
+                    format!("collective:{}", op.label())
                 } else {
-                    format!("async:{}", op.name())
+                    format!("async:{}", op.label())
                 }
             }
-            EventDetail::Issue { op, .. } => format!("issue:{}", op.name()),
-            EventDetail::OverlapWait { op, .. } => format!("wait:{}", op.name()),
+            EventDetail::Issue { op, .. } => format!("issue:{}", op.label()),
+            EventDetail::OverlapWait { op, .. } => format!("wait:{}", op.label()),
             EventDetail::LayerFwd { .. } => "layer_fwd".to_string(),
             EventDetail::LayerBwd { .. } => "layer_bwd".to_string(),
             EventDetail::TunerDecision { .. } => "tuner_decision".to_string(),
@@ -254,10 +289,10 @@ impl EventDetail {
         match self {
             EventDetail::Gemm { mode, .. } => format!("gemm {mode}"),
             EventDetail::Collective { op, group_size, .. } => {
-                format!("{} g={group_size}", op.name())
+                format!("{} g={group_size}", op.label())
             }
-            EventDetail::Issue { op, .. } => format!("issue {}", op.name()),
-            EventDetail::OverlapWait { op, .. } => format!("wait {}", op.name()),
+            EventDetail::Issue { op, .. } => format!("issue {}", op.label()),
+            EventDetail::OverlapWait { op, .. } => format!("wait {}", op.label()),
             EventDetail::LayerFwd { layer } => format!("fwd L{layer}"),
             EventDetail::LayerBwd { layer } => format!("bwd L{layer}"),
             EventDetail::TunerDecision { layer, choice, .. } => {
@@ -297,7 +332,7 @@ impl Serialize for EventDetail {
                 blocking,
                 op_seconds,
             } => {
-                fields.push(("op".into(), Value::Str(op.name().into())));
+                fields.push(("op".into(), Value::Str(op.label().into())));
                 fields.push(("group_size".into(), group_size.serialize()));
                 fields.push(("bytes".into(), bytes.serialize()));
                 fields.push(("seq".into(), seq.serialize()));
@@ -310,13 +345,13 @@ impl Serialize for EventDetail {
                 bytes,
                 seq,
             } => {
-                fields.push(("op".into(), Value::Str(op.name().into())));
+                fields.push(("op".into(), Value::Str(op.label().into())));
                 fields.push(("group_size".into(), group_size.serialize()));
                 fields.push(("bytes".into(), bytes.serialize()));
                 fields.push(("seq".into(), seq.serialize()));
             }
             EventDetail::OverlapWait { op, seq } => {
-                fields.push(("op".into(), Value::Str(op.name().into())));
+                fields.push(("op".into(), Value::Str(op.label().into())));
                 fields.push(("seq".into(), seq.serialize()));
             }
             EventDetail::LayerFwd { layer } | EventDetail::LayerBwd { layer } => {
@@ -416,7 +451,7 @@ mod tests {
     #[test]
     fn kinds_distinguish_blocking_from_async() {
         let mk = |blocking| EventDetail::Collective {
-            op: CollOp::AllReduce,
+            op: SchedKind::AllReduce,
             group_size: 4,
             bytes: 1024,
             seq: 0,
@@ -427,12 +462,43 @@ mod tests {
         assert_eq!(mk(false).kind(), "async:all_reduce");
         assert_eq!(
             EventDetail::OverlapWait {
-                op: CollOp::AllGather,
+                op: SchedKind::AllGather,
                 seq: 3
             }
             .kind(),
             "wait:all_gather"
         );
+    }
+
+    #[test]
+    fn every_kind_appears_once_and_index_is_dense() {
+        for (i, kind) in SchedKind::ALL.iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind}");
+            assert_eq!(
+                SchedKind::ALL.iter().filter(|k| *k == kind).count(),
+                1,
+                "{kind} listed twice"
+            );
+        }
+        let mut labels: Vec<&str> = SchedKind::ALL.iter().map(|k| k.label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), SchedKind::ALL.len(), "labels must be unique");
+    }
+
+    #[test]
+    fn halving_doubling_kinds_need_power_of_two_groups() {
+        for kind in SchedKind::ALL {
+            assert!(kind.legal(4), "{kind}");
+            let log_step = matches!(
+                kind,
+                SchedKind::AllReduceRd
+                    | SchedKind::AllGatherRd
+                    | SchedKind::ReduceScatterRh
+                    | SchedKind::AllReduceRhd
+            );
+            assert_eq!(kind.legal(6), !log_step, "{kind}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ mod report;
 mod sink;
 
 pub use chrome::chrome_trace_json;
-pub use event::{CollOp, EventDetail, Stream, TraceEvent, XferStats};
+pub use event::{EventDetail, SchedKind, Stream, TraceEvent, XferStats};
 pub use flight::{flight_capacity, flight_dir, FlightEntry, FlightRecorder, DEFAULT_FLIGHT_CAP};
 pub use live::{
     metrics_enabled, Counter, Gauge, LiveCollectives, LiveHistogram, LiveRegistry, MetricsSnapshot,

@@ -30,7 +30,7 @@ use serde::{Serialize, Value};
 
 use crate::event::XferStats;
 use crate::metrics::{Histogram, MetricsRegistry, BYTES_BOUNDS, SECONDS_BOUNDS};
-use crate::CollOp;
+use crate::SchedKind;
 
 /// Is live metrics collection enabled? Controlled by `AXONN_METRICS`:
 /// `0`/`false` disables it, anything else (including unset) enables it.
@@ -439,7 +439,7 @@ struct OpHandles {
 }
 
 /// Pre-registered handles for everything the collectives hot paths
-/// stamp, indexed by [`CollOp::index`]. Built once per world; stamping
+/// stamp, indexed by [`SchedKind::index`]. Built once per world; stamping
 /// is array index + atomic adds, no map lookups or allocation.
 ///
 /// Metric names match `MetricsRegistry::from_traces` exactly, so a live
@@ -454,10 +454,10 @@ pub struct LiveCollectives {
 
 impl LiveCollectives {
     pub fn new(registry: &LiveRegistry) -> LiveCollectives {
-        let ops = CollOp::ALL
+        let ops = SchedKind::ALL
             .iter()
             .map(|op| {
-                let n = op.name();
+                let n = op.label();
                 OpHandles {
                     calls: registry.counter(&format!("collective.{n}.calls")),
                     bytes: registry.counter(&format!("collective.{n}.bytes")),
@@ -488,7 +488,13 @@ impl LiveCollectives {
     /// when the world tracks time (`None` on untimed worlds — the
     /// seconds histogram is skipped, matching `from_traces`, which only
     /// sees events from traced/timed runs).
-    pub fn record_collective(&self, op: CollOp, bytes: u64, seconds: Option<f64>, xfer: XferStats) {
+    pub fn record_collective(
+        &self,
+        op: SchedKind,
+        bytes: u64,
+        seconds: Option<f64>,
+        xfer: XferStats,
+    ) {
         let h = &self.ops[op.index()];
         h.calls.inc();
         h.bytes.add(bytes);
@@ -565,7 +571,7 @@ mod tests {
         let reg = LiveRegistry::new_enabled(true);
         let live = LiveCollectives::new(&reg);
         live.record_collective(
-            CollOp::AllReduce,
+            SchedKind::AllReduce,
             4096,
             Some(1e-3),
             XferStats {

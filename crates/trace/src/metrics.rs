@@ -205,15 +205,15 @@ impl MetricsRegistry {
                         op_seconds,
                         ..
                     } => {
-                        reg.counter_add(&format!("collective.{}.calls", op.name()), 1);
-                        reg.counter_add(&format!("collective.{}.bytes", op.name()), *bytes);
+                        reg.counter_add(&format!("collective.{}.calls", op.label()), 1);
+                        reg.counter_add(&format!("collective.{}.bytes", op.label()), *bytes);
                         reg.observe(
-                            &format!("collective.{}.bytes_hist", op.name()),
+                            &format!("collective.{}.bytes_hist", op.label()),
                             &BYTES_BOUNDS,
                             *bytes as f64,
                         );
                         reg.observe(
-                            &format!("collective.{}.seconds_hist", op.name()),
+                            &format!("collective.{}.seconds_hist", op.label()),
                             &SECONDS_BOUNDS,
                             *op_seconds,
                         );
@@ -221,19 +221,19 @@ impl MetricsRegistry {
                         // transport; zero-valued adds still create the
                         // keys so reports can rely on their presence.
                         reg.counter_add(
-                            &format!("collective.{}.chunks", op.name()),
+                            &format!("collective.{}.chunks", op.label()),
                             ev.xfer.chunks as u64,
                         );
                         reg.counter_add(
-                            &format!("collective.{}.alloc_bytes", op.name()),
+                            &format!("collective.{}.alloc_bytes", op.label()),
                             ev.xfer.alloc_bytes,
                         );
                         reg.counter_add(
-                            &format!("collective.{}.pool_hits", op.name()),
+                            &format!("collective.{}.pool_hits", op.label()),
                             ev.xfer.pool_hits,
                         );
                         reg.counter_add(
-                            &format!("collective.{}.pool_misses", op.name()),
+                            &format!("collective.{}.pool_misses", op.label()),
                             ev.xfer.pool_misses,
                         );
                     }
@@ -291,7 +291,7 @@ impl Serialize for MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CollOp, Stream};
+    use crate::event::{SchedKind, Stream};
     use crate::sink::TraceSink;
 
     #[test]
@@ -374,7 +374,7 @@ mod tests {
             0.0,
             1.0,
             crate::event::EventDetail::Collective {
-                op: CollOp::AllReduce,
+                op: SchedKind::AllReduce,
                 group_size: 4,
                 bytes: 4096,
                 seq: 0,
@@ -416,7 +416,7 @@ mod tests {
         use crate::event::XferStats;
         let sink = TraceSink::new(0);
         let coll = |seq| crate::event::EventDetail::Collective {
-            op: CollOp::AllReduce,
+            op: SchedKind::AllReduce,
             group_size: 4,
             bytes: 4096,
             seq,

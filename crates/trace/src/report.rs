@@ -4,7 +4,7 @@
 
 use serde::{Serialize, Value};
 
-use crate::event::{EventDetail, Stream};
+use crate::event::{EventDetail, SchedKind, Stream, TraceEvent};
 use crate::metrics::MetricsRegistry;
 use crate::sink::RankTrace;
 
@@ -66,7 +66,7 @@ impl OverlapReport {
             // compute stream (holding the waits) comes before the comm
             // streams (holding the asynchronous execution spans).
             struct Pending {
-                op: crate::event::CollOp,
+                op: SchedKind,
                 seq: u64,
                 op_seconds: f64,
                 layer: Option<usize>,
@@ -188,8 +188,8 @@ impl OverlapReport {
             .map(|trace| {
                 // (op, seq) pairs of the bucket collectives on this rank;
                 // waits are matched against the same per-rank key space.
-                let mut keys: Vec<(crate::event::CollOp, u64)> = Vec::new();
-                let mut events: Vec<crate::event::TraceEvent> = Vec::new();
+                let mut keys: Vec<(SchedKind, u64)> = Vec::new();
+                let mut events: Vec<TraceEvent> = Vec::new();
                 for ev in &trace.events {
                     if let EventDetail::Collective {
                         op,
@@ -200,10 +200,11 @@ impl OverlapReport {
                     {
                         let bucket_op = matches!(
                             op,
-                            crate::event::CollOp::ReduceScatter
-                                | crate::event::CollOp::ReduceScatterRh
-                                | crate::event::CollOp::AllGather
-                                | crate::event::CollOp::AllGatherRd
+                            SchedKind::ReduceScatter
+                                | SchedKind::ReduceScatterLinear
+                                | SchedKind::ReduceScatterRh
+                                | SchedKind::AllGather
+                                | SchedKind::AllGatherRd
                         );
                         if ev.layer.is_none() && bucket_op {
                             keys.push((*op, *seq));
@@ -280,12 +281,11 @@ impl Serialize for TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CollOp;
     use crate::sink::TraceSink;
 
     fn coll(blocking: bool, seq: u64, op_seconds: f64) -> EventDetail {
         EventDetail::Collective {
-            op: CollOp::AllReduce,
+            op: SchedKind::AllReduce,
             group_size: 4,
             bytes: 1024,
             seq,
@@ -319,7 +319,7 @@ mod tests {
             0.8,
             1.0,
             EventDetail::OverlapWait {
-                op: CollOp::AllReduce,
+                op: SchedKind::AllReduce,
                 seq: 7,
             },
         );
@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn data_parallel_overlap_selects_unattributed_bucket_ops() {
         let rs = |seq, op_seconds| EventDetail::Collective {
-            op: CollOp::ReduceScatter,
+            op: SchedKind::ReduceScatter,
             group_size: 2,
             bytes: 512,
             seq,
@@ -361,7 +361,7 @@ mod tests {
             0.9,
             1.0,
             EventDetail::OverlapWait {
-                op: CollOp::ReduceScatter,
+                op: SchedKind::ReduceScatter,
                 seq: 1,
             },
         );
@@ -371,7 +371,7 @@ mod tests {
             1.0,
             2.0,
             EventDetail::Collective {
-                op: CollOp::AllReduce,
+                op: SchedKind::AllReduce,
                 group_size: 2,
                 bytes: 512,
                 seq: 2,

@@ -288,7 +288,7 @@ impl Serialize for RankTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::CollOp;
+    use crate::event::SchedKind;
 
     fn gemm() -> EventDetail {
         EventDetail::Gemm {
@@ -350,7 +350,7 @@ mod tests {
             5.0,
             6.0,
             EventDetail::Collective {
-                op: CollOp::AllReduce,
+                op: SchedKind::AllReduce,
                 group_size: 2,
                 bytes: 64,
                 seq: 0,
@@ -390,7 +390,7 @@ mod tests {
             Stream::Compute,
             0.0,
             EventDetail::Issue {
-                op: CollOp::AllGather,
+                op: SchedKind::AllGather,
                 group_size: 2,
                 bytes: 32,
                 seq: 1,
@@ -401,7 +401,7 @@ mod tests {
             0.0,
             1.0,
             EventDetail::Collective {
-                op: CollOp::AllGather,
+                op: SchedKind::AllGather,
                 group_size: 2,
                 bytes: 32,
                 seq: 1,

@@ -35,6 +35,7 @@
 //! changing the contract.
 
 use crate::diag::Diagnostic;
+use axonn_collectives::sched::lane_label;
 use axonn_collectives::{SchedEvent, SchedOp};
 use std::collections::{HashMap, VecDeque};
 
@@ -76,7 +77,7 @@ pub(crate) struct OpWindow {
     pub(crate) op_index: usize,
     /// Rendered op, for diagnostics.
     pub(crate) op: String,
-    /// Wire-lane label of the op's kind (`SchedKind::lane_label`).
+    /// Wire-lane label of the op's kind (`sched::lane_label`).
     pub(crate) lane: &'static str,
     pub(crate) buf: Option<u64>,
     pub(crate) slab: Option<u64>,
@@ -312,7 +313,7 @@ pub fn analyze(streams: &[Vec<SchedEvent>]) -> Option<HbAnalysis> {
                             issue_index: state.pc,
                             op_index,
                             op: op.to_string(),
-                            lane: op.kind.lane_label(),
+                            lane: lane_label(op.kind),
                             buf: op.buf,
                             slab: op.slab,
                             issue: state.main.clone(),

@@ -42,15 +42,10 @@ pub fn check(streams: &[Vec<SchedEvent>]) -> Vec<Diagnostic> {
                             | SchedKind::ReduceScatterRh
                     );
                     if divisible_kinds && g > 1 && !op.elems.is_multiple_of(g) {
-                        let label = match op.kind {
-                            SchedKind::ReduceScatter => "reduce_scatter",
-                            SchedKind::ReduceScatterRh => "reduce_scatter_rh",
-                            _ => "reduce_scatter_linear",
-                        };
                         diags.push(Diagnostic::IndivisibleReduceScatter {
                             rank,
                             event_index: i,
-                            message: indivisible_message(label, op.elems, g),
+                            message: indivisible_message(op.kind.label(), op.elems, g),
                         });
                     }
                 }

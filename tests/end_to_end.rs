@@ -2,9 +2,9 @@
 //! Algorithm 1, overlap, kernel tuning, data parallelism, virtual time —
 //! exercised together and checked against the serial reference.
 
-use axonn::collectives::RingCostModel;
+use axonn::collectives::{CommWorld, RingCostModel};
 use axonn::engine::{Activation, GridTopology, Network4d, OverlapConfig, SerialMlp};
-use axonn::exec::{run_spmd, run_spmd_timed};
+use axonn::exec::{run_spmd, run_spmd_on};
 use axonn::tensor::Matrix;
 use std::sync::Arc;
 
@@ -52,7 +52,7 @@ fn overlap_reduces_virtual_batch_time() {
     let cost = Arc::new(RingCostModel::new(5.0e9, 1.0e9));
     let run = |overlap: OverlapConfig| -> f64 {
         let cost = cost.clone();
-        let times = run_spmd_timed(8, cost, move |comm| {
+        let times = run_spmd_on(CommWorld::create_timed(8, cost), move |comm| {
             let grid = GridTopology::new(2, 1, 4, 1, comm.rank());
             let mut net = Network4d::new(comm, grid, &DIMS, Activation::Gelu, SEED, overlap, false);
             let (x, t) = batch();
@@ -76,7 +76,7 @@ fn virtual_time_is_deterministic() {
     let cost = Arc::new(RingCostModel::new(1.0e9, 1.0e8).with_latency(1e-6));
     let run = || -> Vec<f64> {
         let cost = cost.clone();
-        run_spmd_timed(4, cost, move |comm| {
+        run_spmd_on(CommWorld::create_timed(4, cost), move |comm| {
             let grid = GridTopology::new(2, 1, 2, 1, comm.rank());
             let mut net = Network4d::new(
                 comm,

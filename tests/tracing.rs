@@ -233,6 +233,19 @@ fn bucketed_pipeline_overlaps_data_group_collectives() {
         "oracle has no async data-group collectives"
     );
     assert_eq!(dp_oracle.overlap_efficiency, 0.0);
+
+    // Traces name the algorithm that ran: the bucket reduce-scatters are
+    // the canonical-order linear kind, and the per-tensor oracle syncs
+    // with the canonical-order all-reduce.
+    let kinds = |run: &TracedRun<f32>| -> Vec<String> {
+        run.traces[0]
+            .events
+            .iter()
+            .map(|e| e.detail.kind())
+            .collect()
+    };
+    assert!(kinds(&bucketed).contains(&"async:reduce_scatter_linear".to_string()));
+    assert!(kinds(&oracle).contains(&"collective:all_reduce_linear".to_string()));
 }
 
 #[test]

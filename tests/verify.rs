@@ -4,7 +4,7 @@
 //! completes", and cross-plane agreement between the dry-extracted
 //! schedule and the simulator's mirrored collective sequence.
 
-use axonn::collectives::{RingCostModel, SchedEvent, SchedKind};
+use axonn::collectives::{RingCostModel, SchedEvent};
 use axonn::engine::{
     default_mlp_shape, default_transformer_shape, extract_mlp_schedules,
     extract_transformer_schedules, transformer_grid_fits, Activation, GridTopology, Network4d,
@@ -14,7 +14,7 @@ use axonn::exec::run_spmd;
 use axonn::perfmodel::Grid4d;
 use axonn::sim::{simulate_mlp_step, MlpStepConfig};
 use axonn::tensor::Matrix;
-use axonn::trace::{CollOp, EventDetail, Stream};
+use axonn::trace::{EventDetail, Stream};
 use axonn::verify::{check_schedules, inject, DefectKind, Diagnostic};
 use proptest::prelude::*;
 
@@ -259,7 +259,7 @@ fn serve_schedule_matches_sim_decode_mirror() {
         let extracted: Vec<&'static str> = streams[0]
             .iter()
             .filter_map(|e| match e {
-                SchedEvent::Issue(op) => Some(sched_coll_name(op.kind)),
+                SchedEvent::Issue(op) => Some(op.kind.label()),
                 _ => None,
             })
             .collect();
@@ -277,31 +277,12 @@ fn serve_schedule_matches_sim_decode_mirror() {
         let mirrored: Vec<&'static str> = trace
             .stream_events(Stream::Compute)
             .filter_map(|e| match &e.detail {
-                EventDetail::Collective { op, .. } => Some(op.name()),
-                EventDetail::Issue { op, .. } => Some(op.name()),
+                EventDetail::Collective { op, .. } => Some(op.label()),
+                EventDetail::Issue { op, .. } => Some(op.label()),
                 _ => None,
             })
             .collect();
         assert_eq!(extracted, mirrored, "planes disagree on tp={tp}");
-    }
-}
-
-/// SchedKind → the simulator's collective vocabulary. The schedule plane
-/// distinguishes ring vs linear vs recursive-doubling variants; the
-/// trace vocabulary names the collective itself.
-fn sched_coll_name(kind: SchedKind) -> &'static str {
-    match kind {
-        SchedKind::AllGather => CollOp::AllGather.name(),
-        SchedKind::ReduceScatter | SchedKind::ReduceScatterLinear => CollOp::ReduceScatter.name(),
-        SchedKind::AllReduce | SchedKind::AllReduceLinear => CollOp::AllReduce.name(),
-        SchedKind::AllReduceRd => CollOp::AllReduceRd.name(),
-        SchedKind::AllGatherRd => CollOp::AllGatherRd.name(),
-        SchedKind::ReduceScatterRh => CollOp::ReduceScatterRh.name(),
-        SchedKind::AllReduceRhd => CollOp::AllReduceRhd.name(),
-        SchedKind::AllReduceTree => CollOp::AllReduceTree.name(),
-        SchedKind::Broadcast => CollOp::Broadcast.name(),
-        SchedKind::BroadcastTree => CollOp::BroadcastTree.name(),
-        SchedKind::Barrier => CollOp::Barrier.name(),
     }
 }
 
@@ -317,7 +298,7 @@ fn dry_extracted_schedule_matches_sim_collective_sequence() {
         let extracted: Vec<&'static str> = streams[0]
             .iter()
             .filter_map(|e| match e {
-                SchedEvent::Issue(op) => Some(sched_coll_name(op.kind)),
+                SchedEvent::Issue(op) => Some(op.kind.label()),
                 _ => None,
             })
             .collect();
@@ -341,8 +322,8 @@ fn dry_extracted_schedule_matches_sim_collective_sequence() {
         let mirrored: Vec<&'static str> = trace
             .stream_events(Stream::Compute)
             .filter_map(|e| match &e.detail {
-                EventDetail::Collective { op, .. } => Some(op.name()),
-                EventDetail::Issue { op, .. } => Some(op.name()),
+                EventDetail::Collective { op, .. } => Some(op.label()),
+                EventDetail::Issue { op, .. } => Some(op.label()),
                 _ => None,
             })
             .collect();
